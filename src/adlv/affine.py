@@ -47,8 +47,13 @@ class AffineWeyl:
         self._index: dict[tuple[tuple[int, ...], int], int] = {}
         self._len: dict[int, int] = {}
         self._word: dict[int, tuple[tuple[int, ...], int]] = {}
-        self._wall: dict[tuple[int, int], tuple[int, int, bool]] = {}
+        self._inv: dict[int, int] = {}
         self._bruhat: dict[tuple[int, int], bool] = {}
+        # the step table, filled by step_row: element id -> one row entry
+        # (c * s_i, beta, j, upper) per affine generator s_i
+        self.steps: dict[int, tuple] = {}
+        # memo of engine.levi_eta_targets: (parabolic, class, kappa filter)
+        self.levi_targets: dict[tuple, set] = {}
         self.identity = self.intern((0,) * datum.d, 0)
         # affine generators: index 0 = affine node, 1..r = finite simples
         gens = [self.intern(datum.coroots[datum.theta_idx],
@@ -93,10 +98,15 @@ class AffineWeyl:
         return self.intern(tuple(x + y for x, y in zip(la, lw)), W.mul(wa, wb))
 
     def inv(self, a: int) -> int:
-        la, wa = self._elts[a]
-        W = self.datum.weyl
-        wi = W.inv[wa]
-        return self.intern(tuple(-x for x in W.apply(wi, la)), wi)
+        got = self._inv.get(a)
+        if got is None:
+            la, wa = self._elts[a]
+            W = self.datum.weyl
+            wi = W.inv[wa]
+            got = self.intern(tuple(-x for x in W.apply(wi, la)), wi)
+            self._inv[a] = got
+            self._inv[got] = a
+        return got
 
     def mul_many(self, *xs) -> int:
         out = self.identity
@@ -286,37 +296,52 @@ class AffineWeyl:
         self._bruhat[key] = res
         return res
 
-    # -- folding walls -------------------------------------------------------------
+    # -- folding walls: the step table -----------------------------------------------
+
+    def step_row(self, cid: int) -> tuple:
+        """
+        The step-table row of c: for each affine generator s_i, the entry
+        (c * s_i, beta, j, upper).  The wall between c.a and (c s_i).a is
+        {beta = j}, with beta the index of a positive root, and upper says
+        whether c.a lies on its upper side {beta > j}.  Filled on first use.
+        """
+        row = self.steps.get(cid)
+        if row is not None:
+            return row
+        datum = self.datum
+        W = datum.weyl
+        npos = datum.nposroots
+        lam, u = self._elts[cid]
+        entries = []
+        for gen, g in enumerate(self.gens):
+            lg, wg = self._elts[g]
+            cs = self.intern(tuple(a + b for a, b in zip(lam, W.apply(u, lg))),
+                             W.mul(u, wg))
+            if gen == 0:
+                base_root, base_level = datum.theta_idx, 1
+            else:
+                base_root, base_level = datum.simple_idx[gen - 1], 0
+            beta = W.root_act[u][base_root]
+            j = base_level
+            if beta >= npos:
+                beta -= npos
+                j = -j
+            j += datum.pairing(beta, lam)
+            kc = self.k_alpha(beta, cid)
+            if kc != j and kc != j + 1:
+                raise RuntimeError("step must cross the computed wall")
+            entries.append((cs, beta, j, kc == j + 1))
+        row = tuple(entries)
+        self.steps[cid] = row
+        return row
 
     def wall_data(self, cid: int, gen: int) -> tuple[int, int, bool]:
         """
         For the step c -> c * s_gen: the wall between the two alcoves as a pair
         (root index beta of a positive root, level j), plus whether c.a lies on
-        the upper side {beta > j}.
+        the upper side {beta > j}.  A read of the step table.
         """
-        key = (cid, gen)
-        got = self._wall.get(key)
-        if got is not None:
-            return got
-        datum = self.datum
-        npos = datum.nposroots
-        lam, u = self._elts[cid]
-        if gen == 0:
-            base_root, base_level = datum.theta_idx, 1
-        else:
-            base_root, base_level = datum.simple_idx[gen - 1], 0
-        beta = datum.weyl.root_act[u][base_root]
-        j = base_level
-        if beta >= npos:
-            beta -= npos
-            j = -j
-        j += datum.pairing(beta, lam)
-        kc = self.k_alpha(beta, cid)
-        upper = kc == j + 1
-        assert upper or kc == j, "step must cross the computed wall"
-        got = (beta, j, upper)
-        self._wall[key] = got
-        return got
+        return self.step_row(cid)[gen][1:]
 
     # -- text form -------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 
 def cache_key(datum_desc: dict, op: str, args) -> str:

@@ -302,28 +302,22 @@ def cmd_survey(args, out=sys.stdout):
         else:
             todo.append(x)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    # work in length shells so interrupted runs resume at shell granularity
-    shells: dict[int, list] = {}
+    if jobs > 1 and len(todo) > 8:
+        import multiprocessing as mp
+        spec = (datum.spec.ctype, datum.spec.rank, datum.spec.variant)
+        chunks = [todo[i::jobs] for i in range(jobs)]
+        payloads = [(spec, cls.key(), cutoff, [ctx.format(x) for x in ch])
+                    for ch in chunks if ch]
+        with mp.get_context("fork").Pool(jobs) as pool:
+            for part in pool.map(_survey_worker, payloads):
+                for xt, obj in part.items():
+                    results[ctx.parse(xt)] = _result_from_json(ctx, obj)
+    elif todo:
+        results.update(eng.survey_batch(ctx, cls, todo, cutoff))
     for x in todo:
-        shells.setdefault(ctx.length(x), []).append(x)
-    for ln in sorted(shells):
-        chunk_xs = shells[ln]
-        if jobs > 1 and len(chunk_xs) > 8:
-            import multiprocessing as mp
-            chunks = [chunk_xs[i::jobs] for i in range(jobs)]
-            spec = (datum.spec.ctype, datum.spec.rank, datum.spec.variant)
-            payloads = [(spec, cls.key(), cutoff, [ctx.format(x) for x in ch])
-                        for ch in chunks if ch]
-            with mp.get_context("fork").Pool(jobs) as pool:
-                for part in pool.map(_survey_worker, payloads):
-                    for xt, obj in part.items():
-                        results[ctx.parse(xt)] = _result_from_json(ctx, obj)
-        else:
-            results.update(eng.survey_batch(ctx, cls, chunk_xs, cutoff))
-        for x in chunk_xs:
-            key = cache_key(datum.json_descriptor(), "solve",
-                            {"x": ctx.format(x), "class": cls.key(), "cutoff": cutoff})
-            store.put(key, results[x].to_json(ctx))
+        key = cache_key(datum.json_descriptor(), "solve",
+                        {"x": ctx.format(x), "class": cls.key(), "cutoff": cutoff})
+        store.put(key, results[x].to_json(ctx))
     recs = [record_for(ctx, cls, x, results[x]) for x in xs]
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -386,17 +380,14 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; our contract says 1
         raise SystemExit(1 if exc.code not in (0,) else 0)
-    try:
-        if args.cmd == "classes":
-            return cmd_classes(args)
-        if args.cmd == "query":
-            return cmd_query(args)
-        if args.cmd == "survey":
-            return cmd_survey(args)
-        if args.cmd == "figure":
-            return cmd_figure(args)
-    except SystemExit:
-        raise
+    if args.cmd == "classes":
+        return cmd_classes(args)
+    if args.cmd == "query":
+        return cmd_query(args)
+    if args.cmd == "survey":
+        return cmd_survey(args)
+    if args.cmd == "figure":
+        return cmd_figure(args)
     raise SystemExit(1)
 
 

@@ -81,12 +81,12 @@ def orientation_profile(ctx: AffineWeyl, p: SemistdParabolic, wid: int):
 def fold_step(ctx: AffineWeyl, frontier: dict, gen: int, profile) -> dict:
     """One letter of the folding walk; merges by max dimension."""
     out: dict[int, int] = {}
-    g = ctx.gens[gen]
-    mul = ctx.mul
-    wall = ctx.wall_data
+    steps = ctx.steps
     for c, d in frontier.items():
-        beta, j, c_upper = wall(c, gen)
-        cs = mul(c, g)
+        row = steps.get(c)
+        if row is None:
+            row = ctx.step_row(c)
+        cs, beta, j, c_upper = row[gen]
         fold_upper = j >= profile[beta]
         if c_upper != fold_upper:
             # crossing into the fold side: forced, costs one
@@ -163,9 +163,6 @@ class AdlvResult:
         }
 
 
-_target_cache: dict = {}
-
-
 def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass,
                      kappa_filter: bool):
     """
@@ -173,8 +170,8 @@ def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass,
     W-conjugate to that of cls; with kappa_filter, only classes in the same
     component of the full group are kept (the basic-case refinement).
     """
-    key = (id(ctx.datum), p.key(), cls.key(), kappa_filter)
-    got = _target_cache.get(key)
+    key = (p.key(), cls.key(), kappa_filter)
+    got = ctx.levi_targets.get(key)
     if got is not None:
         return got
     datum = ctx.datum
@@ -189,7 +186,7 @@ def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass,
             if kappa_filter and datum.lambda_g.normal_form(lam) != cls.kappa:
                 continue
             targets.add(p.lattice.normal_form(lam))
-    _target_cache[key] = targets
+    ctx.levi_targets[key] = targets
     return targets
 
 
@@ -425,11 +422,14 @@ def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
 
 def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
     """
-    solve() for many x at once.  Returns {x: AdlvResult}.  Certificates are
-    evaluated per x; the w-sweep shares the folding frontiers across all x
-    with a breadth-first walk over reduced-word prefixes.
+    solve() for many x at once.  Returns {x: AdlvResult}; each result equals
+    solve(ctx, x, cls, cutoff) in status, dimension and witness, so it does
+    not depend on how the x are split into batches.  Certificates are
+    evaluated per x.  Each x keeps the Omega-window solve gives it; one sweep
+    over the union of the windows shares the folding frontiers across all x
+    with a breadth-first walk over reduced-word prefixes, and each x accepts
+    only the w whose component lies in its own window.
     """
-    datum = ctx.datum
     results: dict[int, AdlvResult] = {}
     pending_words = {}
     for x in xids:
@@ -438,40 +438,49 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
             results[x] = AdlvResult("empty-certified", certificates=[cert],
                                     cutoff=cutoff)
         else:
-            word, tau = ctx.reduced_word(x)
-            pending_words[x] = (word, tau)
+            pending_words[x] = ctx.reduced_word(x)
     if not pending_words:
         return results
     b, p, corr = class_data(ctx, cls)
+    # the window depends on x only when Lambda_G is infinite
+    shared = None
+    if ctx.datum.lambda_g.order() is not None:
+        shared = omega_window(ctx, cls, [b])
+    omegas: set[int] = set()
+    allowed = {}
+    for x in pending_words:
+        window = shared if shared is not None else omega_window(ctx, cls, [x, b])
+        omegas.update(window)
+        allowed[x] = frozenset(ctx.omega_class(t) for t in window)
     # prefix tree over the canonical reduced words of the pending x, deduped
     # by element: parent[u] = (previous prefix, generator)
     parents: dict[int, tuple | None] = {ctx.identity: None}
-    need = {}
+    need: dict[int, list] = {}
     for x, (word, tau) in pending_words.items():
         cur = ctx.identity
         for gi in word:
-            nxt = ctx.mul(cur, ctx.gens[gi])
+            nxt = ctx.step_row(cur)[gi][0]
             if nxt not in parents:
                 parents[nxt] = (cur, gi)
             cur = nxt
         need.setdefault(cur, []).append((x, tau))
-    order = sorted(parents, key=lambda u: ctx.length(u))
+    order = sorted((u for u in parents if u != ctx.identity), key=ctx.length)
+    tau_invs = {tau: ctx.inv(tau) for xs in need.values() for _, tau in xs}
     best: dict[int, tuple] = {x: (None, None) for x in pending_words}
-    omegas = omega_window(ctx, cls, list(pending_words) + [b])
     for w in sweep_elements(ctx, cutoff, omegas):
+        wcls = ctx.omega_class(w)
         profile = orientation_profile(ctx, p, w)
         btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
+        keys = {tau: ctx.mul(btilde, ti) for tau, ti in tau_invs.items()}
         frontiers = {ctx.identity: {ctx.identity: 0}}
         for u in order:
-            if u == ctx.identity:
-                continue
             par, gi = parents[u]
             frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
         for u, xs in need.items():
+            frontier = frontiers[u]
             for x, tau in xs:
-                key = ctx.mul(btilde, ctx.inv(tau))
-                got = frontiers[u].get(key)
-                if got is None:
+                got = frontier.get(keys[tau])
+                if got is None or wcls not in allowed[x]:
                     continue
                 val = Fraction(got) - corr
                 if val.denominator != 1 or val < 0:

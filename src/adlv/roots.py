@@ -185,6 +185,11 @@ class RootDatum:
         ctype = ctype.upper()
         variant = _canonical_variant(ctype, variant)
         self.spec = DatumSpec(ctype, rank, variant)
+        # lazily filled memo tables (see base_point, reflection_index and
+        # semistandard_parabolics)
+        self._base_point = None
+        self._refl_cache: dict[int, int] = {}
+        self._parabolics: tuple | None = None
         if ctype == "GL":
             self._build_type_a(rank, gl=True)
         elif ctype == "A":
@@ -356,12 +361,9 @@ class RootDatum:
 
     def base_point(self):
         """A generic interior point of the base alcove, as exact fractions."""
-        got = getattr(self, "_base_point", None)
-        if got is not None:
-            return got
-        got = self._base_point_compute()
-        self._base_point = got
-        return got
+        if self._base_point is None:
+            self._base_point = self._base_point_compute()
+        return self._base_point
 
     def _base_point_compute(self):
         if self.spec.ctype in ("A", "GL"):
@@ -496,9 +498,7 @@ class RootDatum:
 
     def reflection_index(self, root_idx: int) -> int:
         """Index in W of the reflection in the given root."""
-        got = getattr(self, "_refl_cache", None)
-        if got is None:
-            got = self._refl_cache = {}
+        got = self._refl_cache
         if root_idx in got:
             return got[root_idx]
         W = self.weyl
@@ -648,8 +648,17 @@ class SemistdParabolic:
         return f"Parabolic(u=w{self.u}, J={sorted(self.levi_simple)})"
 
 
-def semistandard_parabolics(datum: RootDatum):
-    """All semistandard parabolics, one per (min-coset rep, J) pair."""
+def semistandard_parabolics(datum: RootDatum) -> tuple:
+    """
+    All semistandard parabolics, one per (min-coset rep, J) pair.  Built on
+    the first call and kept on the datum as an immutable tuple.
+    """
+    if datum._parabolics is None:
+        datum._parabolics = _build_parabolics(datum)
+    return datum._parabolics
+
+
+def _build_parabolics(datum: RootDatum) -> tuple:
     out = []
     seen = set()
     W = datum.weyl
@@ -663,7 +672,7 @@ def semistandard_parabolics(datum: RootDatum):
                 seen.add(p.key())
                 out.append(p)
     out.sort(key=lambda p: (-len(p.levi_simple), p.u, tuple(sorted(p.levi_simple))))
-    return out
+    return tuple(out)
 
 
 def semistandard_levis(datum: RootDatum):

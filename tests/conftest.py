@@ -54,3 +54,17 @@ def ball_with_omega(ctx, max_len):
         om = [ctx.identity]
     xs = {ctx.mul(u, t) for u in ball for t in om}
     return sorted(xs, key=lambda z: (ctx.length(z), ctx.format(z)))
+
+
+def wall_from_k_alpha(ctx, c, cs):
+    """
+    The wall crossed by the step c -> cs between adjacent alcoves, from alcove
+    coordinates alone: (positive root index beta, level j, c.a above it).
+    """
+    npos = ctx.datum.nposroots
+    moved = [b for b in range(npos) if ctx.k_alpha(b, c) != ctx.k_alpha(b, cs)]
+    assert len(moved) == 1, "adjacent alcoves are separated by one wall"
+    beta = moved[0]
+    kc, kcs = ctx.k_alpha(beta, c), ctx.k_alpha(beta, cs)
+    assert abs(kc - kcs) == 1
+    return beta, min(kc, kcs), kc > kcs

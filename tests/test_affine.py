@@ -4,7 +4,8 @@ from collections import deque
 import pytest
 
 from adlv.roots import build_root_datum, standard_parabolic
-from adlv.affine import affine_context
+from adlv.affine import AffineWeyl, affine_context
+from conftest import ball_with_omega, wall_from_k_alpha
 
 
 def rand_elements(ctx, rng, count, maxword):
@@ -43,6 +44,7 @@ def test_inverse_formula(a2_ctx):
         wi = W.inv[w]
         want = ctx.intern(tuple(-v for v in W.apply(wi, lam)), wi)
         assert ctx.inv(x) == want
+        assert ctx.inv(want) == x  # the memo answers the reverse direction
 
 
 def test_length_of_translation_and_reduced_expression(a2_ctx):
@@ -250,3 +252,31 @@ def test_text_roundtrip(a2_ctx, c2_ctx, gl3_ctx):
     assert ctx.parse("s0 s1 s2") == ctx.from_word((0, 1, 2))
     assert ctx.parse("tau") != ctx.identity
     assert ctx.parse("tau^3") == ctx.identity
+
+
+@pytest.mark.parametrize("spec", [("C", 2, "adjoint"), ("G", 2, "adjoint"),
+                                  ("GL", 3, "")])
+def test_step_table_matches_mul_and_walls(spec):
+    # every row of the step table against the group product and a wall
+    # recomputed from alcove coordinates
+    ctx = affine_context(build_root_datum(*spec))
+    xs = ball_with_omega(ctx, 4)
+    xs += [ctx.mul(ctx.from_translation((0,) * (ctx.datum.d - 1) + (1,)), x)
+           for x in xs[:20]]
+    for c in xs:
+        row = ctx.step_row(c)
+        assert len(row) == len(ctx.gens)
+        for i, g in enumerate(ctx.gens):
+            cs, beta, j, upper = row[i]
+            assert cs == ctx.mul(c, g)
+            assert (beta, j, upper) == wall_from_k_alpha(ctx, c, cs)
+            assert ctx.wall_data(c, i) == (beta, j, upper)
+        assert ctx.step_row(c) is row
+
+
+def test_step_table_wall_check_raises():
+    # the wall check is an explicit exception, so it also runs under -O
+    ctx = AffineWeyl(build_root_datum("A", 2, "SL"))
+    ctx.k_alpha = lambda root_idx, xid: 10 ** 6
+    with pytest.raises(RuntimeError, match="must cross the computed wall"):
+        ctx.step_row(ctx.identity)

@@ -103,6 +103,13 @@ def test_survey_parallel_matches_serial():
     _, recs1, sum1 = survey_lines(base)
     _, recs2, sum2 = survey_lines(base + ["--jobs", "2"])
     assert recs1 == recs2 and sum1 == sum2
+    # infinite Lambda_G: the Omega-window of each x must not depend on which
+    # x share its batch
+    gl3 = ["survey", "--type", "GL", "--rank", "3",
+           "--class-key", "nu=[1,0,0];kappa=[0,0,1]", "--max-len", "5"]
+    _, out1 = run_cli(gl3 + ["--jobs", "1"])
+    _, out2 = run_cli(gl3 + ["--jobs", "2"])
+    assert out1 == out2
 
 
 def test_survey_cache_cold_vs_warm(tmp_path):
@@ -114,6 +121,22 @@ def test_survey_cache_cold_vs_warm(tmp_path):
     assert os.path.exists(os.path.join(cache, "results.jsonl"))
     _, recs_warm, sum_warm = survey_lines(argv)
     assert recs_cold == recs_warm and sum_cold == sum_warm
+
+
+def test_survey_partial_cache_matches_cold(tmp_path):
+    cache = tmp_path / "c"
+    argv = ["survey", "--type", "GL", "--rank", "3",
+            "--class-key", "nu=[1,0,0];kappa=[0,0,1]", "--max-len", "4",
+            "--jobs", "1", "--cache-dir", str(cache)]
+    _, cold = run_cli(argv)
+    path = cache / "results.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 10
+    path.write_text("".join(lines[::2]))
+    _, partial = run_cli(argv)
+    assert partial == cold
+    _, warm = run_cli(argv)
+    assert warm == cold
 
 
 def test_figure_and_tsv_agree_with_survey(tmp_path):

@@ -8,9 +8,11 @@ from adlv import engine as eng
 from adlv import sigma as sg
 from adlv.affine import affine_context
 from adlv.alcoves import is_p_alcove, is_shrunken
+from adlv.cli import parse_class_key, survey_elements
 from adlv.hecke import Hecke
-from adlv.roots import SemistdParabolic, build_root_datum, standard_parabolic
-from conftest import ball_with_omega
+from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
+                        standard_parabolic)
+from conftest import ball_with_omega, wall_from_k_alpha
 
 
 def full_parabolic(datum):
@@ -280,6 +282,20 @@ def test_survey_matches_single_solve(c2_ctx):
         single = eng.solve(ctx, x, cls, cutoff=7)
         assert batch[x].status == single.status
         assert batch[x].dim == single.dim
+        assert batch[x].witness_w == single.witness_w
+    # GL3 (infinite Lambda_G) with a non-basic class: each x keeps the
+    # Omega-window solve gives it, whatever else is in the batch
+    gl3 = affine_context(build_root_datum("GL", 3))
+    cls = parse_class_key(gl3, "nu=[1,0,0];kappa=[0,0,1]")
+    assert not sg.is_basic(gl3.datum, cls)
+    xs = survey_elements(gl3, cls, 4)
+    batch = eng.survey_batch(gl3, cls, xs, cutoff=8)
+    assert any(r.nonempty for r in batch.values())
+    for x in xs:
+        single = eng.solve(gl3, x, cls, cutoff=8)
+        assert batch[x].status == single.status
+        assert batch[x].dim == single.dim
+        assert batch[x].witness_w == single.witness_w
 
 
 def test_superset_basics(a2_ctx):
@@ -445,3 +461,46 @@ def test_default_cutoff_formula(a2_ctx):
     x = ctx.parse("t[2,0,-2]")
     cls = sg.classify(ctx, x)
     assert eng.default_cutoff(ctx, x, cls) == 8 + 8 + 2 * 3
+
+
+def _fold_step_reference(ctx, frontier, gen, profile):
+    # the group product and a wall recomputed from alcove coordinates, in
+    # place of the step table
+    out = {}
+    g = ctx.gens[gen]
+    for c, d in frontier.items():
+        cs = ctx.mul(c, g)
+        beta, j, c_upper = wall_from_k_alpha(ctx, c, cs)
+        fold_upper = j >= profile[beta]
+        if c_upper != fold_upper:
+            if out.get(cs, -1) < d + 1:
+                out[cs] = d + 1
+        else:
+            if out.get(cs, -1) < d:
+                out[cs] = d
+            if out.get(c, -1) < d + 1:
+                out[c] = d + 1
+    return out
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"),
+                                  ("G", 2, "adjoint"), ("GL", 3, "")])
+def test_fold_step_matches_reference(spec):
+    ctx = affine_context(build_root_datum(*spec))
+    rng = random.Random(17)
+    paras = semistandard_parabolics(ctx.datum)
+    ws = ball_with_omega(ctx, 3)
+    xs = ball_with_omega(ctx, 6)
+    steps = 0
+    for _ in range(12):
+        p = rng.choice(paras)
+        profile = eng.orientation_profile(ctx, p, rng.choice(ws))
+        for x in rng.sample(xs, 5):
+            word, _tau = ctx.reduced_word(x)
+            frontier = {ctx.identity: 0}
+            for gi in word:
+                want = _fold_step_reference(ctx, frontier, gi, profile)
+                frontier = eng.fold_step(ctx, frontier, gi, profile)
+                assert frontier == want
+                steps += 1
+    assert steps > 100

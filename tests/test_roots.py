@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from adlv.roots import (build_root_datum, semistandard_parabolics,
+from adlv import roots
+from adlv.roots import (build_root_datum, semistandard_levis, semistandard_parabolics,
                         standard_parabolic, SemistdParabolic)
 from adlv.snf import lattice_member
 
@@ -165,3 +166,15 @@ def test_descriptor_roundtrip(c2):
     desc = c2.json_descriptor()
     d2 = build_root_datum(desc["type"], desc["rank"], desc["variant"])
     assert d2 is c2  # cached, canonical
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"), ("GL", 3, "")])
+def test_semistandard_parabolics_built_once(spec):
+    d = build_root_datum(*spec)
+    first = semistandard_parabolics(d)
+    assert isinstance(first, tuple)
+    assert semistandard_parabolics(d) is first
+    assert [p.key() for p in first] == [p.key() for p in roots._build_parabolics(d)]
+    ids = {id(p) for p in first}
+    for ps in semistandard_levis(d).values():
+        assert all(id(p) in ids for p in ps)
