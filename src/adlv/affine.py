@@ -27,9 +27,8 @@ by a length-zero element.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .roots import RootDatum, SemistdParabolic
+from .snf import solve_frac
 
 
 class AffineWeyl:
@@ -54,6 +53,8 @@ class AffineWeyl:
         self.steps: dict[int, tuple] = {}
         # memo of engine.levi_eta_targets: (parabolic, class, kappa filter)
         self.levi_targets: dict[tuple, set] = {}
+        # memo of sigma.classify: (Newton point, kappa) -> class
+        self.classes: dict[tuple, object] = {}
         self.identity = self.intern((0,) * datum.d, 0)
         # affine generators: index 0 = affine node, 1..r = finite simples
         gens = [self.intern(datum.coroots[datum.theta_idx],
@@ -237,11 +238,10 @@ class AffineWeyl:
                          if i < datum.nposroots and self._is_levi_simple(p, i))
         if not simples:
             return tuple(lam)
-        n = len(simples)
-        cartan = [[Fraction(datum.pairing(si, datum.coroots[sj]))
-                   for sj in simples] for si in simples]
-        rhs = [Fraction(datum.pairing(si, lam)) for si in simples]
-        coeffs = _solve_square(cartan, rhs)
+        cartan = [[datum.pairing(si, datum.coroots[sj]) for sj in simples]
+                  for si in simples]
+        rhs = [datum.pairing(si, lam) for si in simples]
+        coeffs = solve_frac(cartan, rhs, len(simples))[0]
         out = list(lam)
         for c, sj in zip(coeffs, simples):
             k = int(round(float(c)))
@@ -401,22 +401,6 @@ class AffineWeyl:
         return tuple(1 if i == nz[0] else 0 for i in range(lam.d))
 
 
-def _solve_square(mat, rhs):
-    """Exact solve of a small square rational system."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 def _ball(basis, radius, d):
     """All integer combinations of basis vectors with |coefficients| <= radius."""
     def rec(i, acc):
@@ -428,12 +412,8 @@ def _ball(basis, radius, d):
     yield from rec(0, [0] * d)
 
 
-_context_cache: dict[int, AffineWeyl] = {}
-
-
 def affine_context(datum: RootDatum) -> AffineWeyl:
-    got = _context_cache.get(id(datum))
-    if got is None:
-        got = AffineWeyl(datum)
-        _context_cache[id(datum)] = got
-    return got
+    """The interning context of the datum, built on first use and kept on it."""
+    if datum._context is None:
+        datum._context = AffineWeyl(datum)
+    return datum._context

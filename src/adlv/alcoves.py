@@ -210,23 +210,8 @@ def omega_p_elements(ctx: AffineWeyl, p: SemistdParabolic, bound: int):
     Elements of Omega_P (fundamental P-alcoves in Omega_M) whose eta_M normal
     form has coordinates bounded by the given translation norm.
     """
-    lat = p.lattice
-    coords = []
-    for i, m in enumerate(lat.moduli):
-        if m == 1:
-            coords.append([0])
-        elif m == 0:
-            coords.append(list(range(-bound, bound + 1)))
-        else:
-            coords.append(list(range(m)))
     out = []
-    def rec(i, acc):
-        if i == len(coords):
-            yield tuple(acc)
-            return
-        for c in coords[i]:
-            yield from rec(i + 1, acc + [c])
-    for cls in rec(0, []):
+    for cls in p.lattice.window(bound):
         x = ctx.omega_element(p, cls)
         if is_p_alcove(ctx, x, p).verdict:
             out.append(x)

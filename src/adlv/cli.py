@@ -36,7 +36,7 @@ from . import sigma as sg
 from .affine import affine_context
 from .alcoves import eta1, eta2, is_shrunken
 from .cache import CacheStore, cache_key
-from .roots import build_root_datum
+from .roots import build_root_datum, semistandard_parabolics
 
 SCHEMA_VERSION = 1
 
@@ -189,8 +189,7 @@ def cmd_query(args, out=sys.stdout):
     xid = ctx.parse(args.x)
     cutoff = args.cutoff if args.cutoff is not None else eng.default_cutoff(ctx, xid, cls)
     store = CacheStore(args.cache_dir)
-    key = cache_key(datum.json_descriptor(), "solve",
-                    {"x": ctx.format(xid), "class": cls.key(), "cutoff": cutoff})
+    key = _solve_key(ctx, cls, xid, cutoff)
     cached = store.get(key)
     if cached is not None:
         result = _result_from_json(ctx, cached)
@@ -209,9 +208,14 @@ def cmd_query(args, out=sys.stdout):
     return 0
 
 
+def _solve_key(ctx, cls, xid, cutoff):
+    """The cache key of one solve result; shared by query and survey."""
+    return cache_key(ctx.datum.json_descriptor(), "solve",
+                     {"x": ctx.format(xid), "class": cls.key(), "cutoff": cutoff})
+
+
 def _p_alcove_reports(ctx, xid):
     from .alcoves import is_p_alcove
-    from .roots import semistandard_parabolics
     datum = ctx.datum
     rows = []
     for p in semistandard_parabolics(datum):
@@ -237,14 +241,7 @@ def _bruhat_flag(ctx, cls, xid):
 
 
 def _is_any_proper_p_alcove(ctx, xid):
-    from .alcoves import is_p_alcove
-    from .roots import semistandard_parabolics
-    for p in semistandard_parabolics(ctx.datum):
-        if p.is_full:
-            continue
-        if is_p_alcove(ctx, xid, p).verdict:
-            return True
-    return False
+    return next(eng.p_alcove_parabolics(ctx, xid), None) is not None
 
 
 def _result_from_json(ctx, obj):
@@ -294,9 +291,7 @@ def cmd_survey(args, out=sys.stdout):
     results = {}
     todo = []
     for x in xs:
-        key = cache_key(datum.json_descriptor(), "solve",
-                        {"x": ctx.format(x), "class": cls.key(), "cutoff": cutoff})
-        cached = store.get(key)
+        cached = store.get(_solve_key(ctx, cls, x, cutoff))
         if cached is not None:
             results[x] = _result_from_json(ctx, cached)
         else:
@@ -305,6 +300,9 @@ def cmd_survey(args, out=sys.stdout):
     if jobs > 1 and len(todo) > 8:
         import multiprocessing as mp
         spec = (datum.spec.ctype, datum.spec.rank, datum.spec.variant)
+        # build the parabolics before forking, so that the workers inherit
+        # them instead of each building its own for the certificate pass
+        semistandard_parabolics(datum)
         chunks = [todo[i::jobs] for i in range(jobs)]
         payloads = [(spec, cls.key(), cutoff, [ctx.format(x) for x in ch])
                     for ch in chunks if ch]
@@ -315,9 +313,7 @@ def cmd_survey(args, out=sys.stdout):
     elif todo:
         results.update(eng.survey_batch(ctx, cls, todo, cutoff))
     for x in todo:
-        key = cache_key(datum.json_descriptor(), "solve",
-                        {"x": ctx.format(x), "class": cls.key(), "cutoff": cutoff})
-        store.put(key, results[x].to_json(ctx))
+        store.put(_solve_key(ctx, cls, x, cutoff), results[x].to_json(ctx))
     recs = [record_for(ctx, cls, x, results[x]) for x in xs]
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -30,7 +30,8 @@ component map, and the Levi obstruction (for every semistandard P with x.a a
 P-alcove, eta_M(x) must be an eta_M-value of a class over M whose Newton
 point is W-conjugate to that of b).  The sup over w is swept in length
 shells up to a cutoff, with the honest outcome "empty up to cutoff" when
-nothing is found.
+nothing is found.  One sweep kernel, survey_batch, does this for any number
+of x at once; solve is survey_batch on a single x.
 """
 
 from __future__ import annotations
@@ -190,6 +191,13 @@ def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass,
     return targets
 
 
+def p_alcove_parabolics(ctx: AffineWeyl, xid: int):
+    """The proper semistandard P with x.a a P-alcove, in their fixed order."""
+    for p in semistandard_parabolics(ctx.datum):
+        if not p.is_full and is_p_alcove(ctx, xid, p).verdict:
+            yield p
+
+
 def necessary_condition(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     """
     The non-emptiness obstruction (a theorem): returns None when the test
@@ -197,14 +205,9 @@ def necessary_condition(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     semistandard P = MN with x.a a P-alcove, membership of eta_M(x) in the
     eta_M-values allowed by the Newton point of the class.
     """
-    datum = ctx.datum
     if ctx.omega_class(xid) != cls.kappa:
         return Certificate("component", None, "kappa(x) != kappa(b)")
-    for p in semistandard_parabolics(datum):
-        if p.is_full:
-            continue
-        if not is_p_alcove(ctx, xid, p).verdict:
-            continue
+    for p in p_alcove_parabolics(ctx, xid):
         targets = levi_eta_targets(ctx, p, cls, kappa_filter=False)
         if p.eta_m(ctx.translation(xid)) not in targets:
             return Certificate("levi-obstruction", p.key(),
@@ -219,16 +222,11 @@ def predict_levi(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     The "empty" direction is a theorem; "nonempty" is the conjectural one.
     Returns ("empty", certificate) or ("nonempty-predicted", None).
     """
-    datum = ctx.datum
-    if not is_basic(datum, cls):
+    if not is_basic(ctx.datum, cls):
         raise ValueError("the P-alcove prediction applies to basic classes")
     if ctx.omega_class(xid) != cls.kappa:
         return "empty", Certificate("component", None, "kappa(x) != kappa(b)")
-    for p in semistandard_parabolics(datum):
-        if p.is_full:
-            continue
-        if not is_p_alcove(ctx, xid, p).verdict:
-            continue
+    for p in p_alcove_parabolics(ctx, xid):
         targets = levi_eta_targets(ctx, p, cls, kappa_filter=True)
         if not targets:
             return "empty", Certificate("levi-obstruction", p.key(),
@@ -316,26 +314,9 @@ def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
     finite, else a window of the free coordinates sized by the inputs.
     """
     datum = ctx.datum
-    lat = datum.lambda_g
     p_full = standard_parabolic(datum, frozenset(datum.simple_idx))
-    if lat.order() is not None:
-        return [ctx.omega_element(p_full, cls_) for cls_ in lat.elements()]
-    spread = 2
-    for x in xids:
-        spread = max(spread, max(abs(v) for v in ctx.translation(x)) + 2)
-    vals = []
-    ranges = []
-    for m in lat.moduli:
-        if m == 1:
-            ranges.append([0])
-        elif m == 0:
-            ranges.append(range(-spread, spread + 1))
-        else:
-            ranges.append(range(m))
-    import itertools
-    for nf in itertools.product(*ranges):
-        vals.append(ctx.omega_element(p_full, nf))
-    return vals
+    spread = max([2] + [max(abs(v) for v in ctx.translation(x)) + 2 for x in xids])
+    return [ctx.omega_element(p_full, nf) for nf in datum.lambda_g.window(spread)]
 
 
 def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
@@ -362,19 +343,12 @@ def class_data(ctx: AffineWeyl, cls: SigmaConjClass):
     return b, p, Fraction(corr2, 2)
 
 
-def dim_stratum(ctx: AffineWeyl, xid: int, cls: SigmaConjClass, wid: int,
-                table: dict | None = None):
+def stratum_value(got: int, corr: Fraction) -> int:
     """
-    dim(X_x(b) cap I_P w.a), or None when the stratum is empty.  Fractional
-    results on a non-empty stratum violate the theory and raise.
+    A table entry minus the correction <rho, nu + nu_dom>: the dimension of a
+    non-empty stratum.  A fractional or negative value violates the theory
+    and raises.
     """
-    b, p, corr = class_data(ctx, cls)
-    if table is None:
-        table = orbit_dim_table(ctx, xid, p, wid, "periodic")
-    btilde = ctx.mul(ctx.mul(ctx.inv(wid), b), wid)
-    got = table.get(btilde)
-    if got is None:
-        return None
     val = Fraction(got) - corr
     if val.denominator != 1 or val < 0:
         raise ArithmeticError(
@@ -382,53 +356,45 @@ def dim_stratum(ctx: AffineWeyl, xid: int, cls: SigmaConjClass, wid: int,
     return int(val)
 
 
+def dim_stratum(ctx: AffineWeyl, xid: int, cls: SigmaConjClass, wid: int,
+                table: dict | None = None):
+    """dim(X_x(b) cap I_P w.a), or None when the stratum is empty."""
+    b, p, corr = class_data(ctx, cls)
+    if table is None:
+        table = orbit_dim_table(ctx, xid, p, wid, "periodic")
+    got = table.get(ctx.mul(ctx.mul(ctx.inv(wid), b), wid))
+    return None if got is None else stratum_value(got, corr)
+
+
 def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
           cutoff: int | None = None, stop_at_first: bool = False) -> AdlvResult:
     """
-    Decide X_x(b): certificates first (sound emptiness), then the sweep over
-    w in length shells up to the cutoff, reporting the best stratum found.
-    With stop_at_first the sweep ends at the first non-empty stratum; the
-    reported dimension is then only a lower bound (the status is exact).
+    Decide X_x(b): survey_batch on the one element x, with default_cutoff
+    when no cutoff is given.
     """
     if cutoff is None:
         cutoff = default_cutoff(ctx, xid, cls)
-    cert = emptiness_certificate(ctx, xid, cls)
-    if cert is not None:
-        return AdlvResult("empty-certified", certificates=[cert], cutoff=cutoff)
-    b, p, corr = class_data(ctx, cls)
-    best = None
-    best_w = None
-    omegas = omega_window(ctx, cls, [xid, b])
-    for w in sweep_elements(ctx, cutoff, omegas):
-        table = orbit_dim_table(ctx, xid, p, w, "periodic")
-        btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
-        got = table.get(btilde)
-        if got is None:
-            continue
-        val = Fraction(got) - corr
-        if val.denominator != 1 or val < 0:
-            raise ArithmeticError(f"stratum dimension {val} at w={ctx.format(w)}")
-        if best is None or int(val) > best:
-            best, best_w = int(val), w
-            if stop_at_first:
-                break
-    if best is None:
-        return AdlvResult("empty-up-to-cutoff", cutoff=cutoff)
-    return AdlvResult("nonempty", dim=best, witness_w=best_w, cutoff=cutoff)
+    return survey_batch(ctx, cls, [xid], cutoff, stop_at_first)[xid]
 
 
 # ---------------------------------------------------------------------------
-# batched surveys (shared folding frontiers across all x per w)
+# the sweep kernel (shared folding frontiers across all x per w)
 
-def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
+def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
+                 stop_at_first: bool = False):
     """
-    solve() for many x at once.  Returns {x: AdlvResult}; each result equals
-    solve(ctx, x, cls, cutoff) in status, dimension and witness, so it does
-    not depend on how the x are split into batches.  Certificates are
-    evaluated per x.  Each x keeps the Omega-window solve gives it; one sweep
-    over the union of the windows shares the folding frontiers across all x
-    with a breadth-first walk over reduced-word prefixes, and each x accepts
-    only the w whose component lies in its own window.
+    Decide X_x(b) for many x at once; returns {x: AdlvResult}.  Certificates
+    come first, per x (sound emptiness).  The x they leave are decided by one
+    sweep over w in length shells up to the cutoff, reporting for each x its
+    best stratum and the first w that reaches it.  Each x keeps its own
+    Omega-window (omega_window(ctx, cls, [x, b])) and accepts only the w
+    whose component lies in it, so a result does not depend on how the x
+    are split into batches.  The sweep shares the folding frontiers across
+    all x with a breadth-first walk over reduced-word prefixes.
+
+    With stop_at_first each x takes its first non-empty stratum and the sweep
+    ends once every x has one: the statuses are exact, the dimensions only
+    lower bounds.
     """
     results: dict[int, AdlvResult] = {}
     pending_words = {}
@@ -467,9 +433,12 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
     order = sorted((u for u in parents if u != ctx.identity), key=ctx.length)
     tau_invs = {tau: ctx.inv(tau) for xs in need.values() for _, tau in xs}
     best: dict[int, tuple] = {x: (None, None) for x in pending_words}
+    undecided = len(best)
     for w in sweep_elements(ctx, cutoff, omegas):
         wcls = ctx.omega_class(w)
         profile = orientation_profile(ctx, p, w)
+        # x = word * tau meets btilde = w^{-1} b w where the word's frontier
+        # holds btilde * tau^{-1}
         btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
         keys = {tau: ctx.mul(btilde, ti) for tau, ti in tau_invs.items()}
         frontiers = {ctx.identity: {ctx.identity: 0}}
@@ -480,14 +449,17 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
             frontier = frontiers[u]
             for x, tau in xs:
                 got = frontier.get(keys[tau])
-                if got is None or wcls not in allowed[x]:
+                cur = best[x][0]
+                if got is None or wcls not in allowed[x] or \
+                        (stop_at_first and cur is not None):
                     continue
-                val = Fraction(got) - corr
-                if val.denominator != 1 or val < 0:
-                    raise ArithmeticError(f"stratum dimension {val}")
-                cur = best[x]
-                if cur[0] is None or int(val) > cur[0]:
-                    best[x] = (int(val), w)
+                val = stratum_value(got, corr)
+                if cur is None:
+                    undecided -= 1
+                if cur is None or val > cur:
+                    best[x] = (val, w)
+        if stop_at_first and not undecided:
+            break
     for x in pending_words:
         dim, w = best[x]
         if dim is None:
@@ -617,17 +589,7 @@ def solve_levi_basic(ctx: AffineWeyl, p: SemistdParabolic, yid: int, bid: int,
         frontier = new
     spread = 2 + max(max(abs(t) for t in ctx.translation(yid)),
                      max(abs(t) for t in ctx.translation(bid)))
-    lat = p.lattice
-    import itertools
-    ranges = []
-    for m in lat.moduli:
-        if m == 1:
-            ranges.append([0])
-        elif m == 0:
-            ranges.append(range(-spread, spread + 1))
-        else:
-            ranges.append(range(m))
-    omegas = [ctx.omega_element(p, nf) for nf in itertools.product(*ranges)]
+    omegas = [ctx.omega_element(p, nf) for nf in p.lattice.window(spread)]
     best = None
     binv = ctx.inv(bid)
     for u in ball:

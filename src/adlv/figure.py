@@ -71,8 +71,7 @@ def alcove_polygon(ctx: AffineWeyl, xid: int):
 
 
 def base_alcove_vertices(datum):
-    simple_roots = [datum.roots[i] for i in datum.simple_idx]
-    theta_coeffs = datum._alpha_coords(datum.roots[datum.theta_idx], simple_roots)
+    theta_coeffs = datum.pos_root_coords[datum.theta_idx]
     fw = datum._fundamental_coweights()
     verts = [tuple(Fraction(0) for _ in range(datum.d))]
     for i in range(len(fw)):

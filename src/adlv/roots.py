@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .snf import LatticeQuotient
+from .snf import LatticeQuotient, solve_frac
 
 WEYL_ORDERS = {"A": lambda n: _fact(n + 1), "B": lambda n: 2 ** n * _fact(n),
                "C": lambda n: 2 ** n * _fact(n), "D": lambda n: 2 ** (n - 1) * _fact(n),
@@ -185,11 +185,12 @@ class RootDatum:
         ctype = ctype.upper()
         variant = _canonical_variant(ctype, variant)
         self.spec = DatumSpec(ctype, rank, variant)
-        # lazily filled memo tables (see base_point, reflection_index and
-        # semistandard_parabolics)
+        # lazily filled memo tables (see base_point, reflection_index,
+        # semistandard_parabolics and affine.affine_context)
         self._base_point = None
         self._refl_cache: dict[int, int] = {}
         self._parabolics: tuple | None = None
+        self._context = None
         if ctype == "GL":
             self._build_type_a(rank, gl=True)
         elif ctype == "A":
@@ -209,7 +210,12 @@ class RootDatum:
                              for j in range(self.d))
         self._lambda_cache: dict[frozenset, LatticeQuotient] = {}
         self.lambda_g = self.levi_lattice_quotient(frozenset(range(len(self.roots))))
-        self.theta_idx = self._highest_root()
+        # coordinates of the positive roots in the basis of simple roots
+        simple_roots = [self.roots[i] for i in self.simple_idx]
+        self.pos_root_coords = [self._alpha_coords(self.roots[i], simple_roots)
+                                for i in range(self.nposroots)]
+        self.theta_idx = max(range(self.nposroots),
+                             key=lambda i: sum(self.pos_root_coords[i]))
         self._sanity_checks()
 
     # -- construction -------------------------------------------------------
@@ -282,20 +288,10 @@ class RootDatum:
 
     @staticmethod
     def _alpha_coords(r, simple_roots):
-        # solve r = sum c_i alpha_i over Q (simple roots are a basis)
+        # r = sum c_i alpha_i over Q (the simple roots are independent)
         n = len(simple_roots)
-        m = [[Fraction(simple_roots[j][t]) for j in range(n)] + [Fraction(r[t])]
-             for t in range(n)]
-        for col in range(n):
-            piv = next(i for i in range(col, n) if m[i][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            pv = m[col][col]
-            m[col] = [x / pv for x in m[col]]
-            for i in range(n):
-                if i != col and m[i][col] != 0:
-                    c = m[i][col]
-                    m[i] = [x - c * y for x, y in zip(m[i], m[col])]
-        return [m[i][n] for i in range(n)]
+        rows = [[simple_roots[j][t] for j in range(n)] for t in range(len(r))]
+        return solve_frac(rows, r, n)[0]
 
     def _check_support(self, ctype, rank):
         ok = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -303,13 +299,6 @@ class RootDatum:
               ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)}
         if (ctype, rank) not in ok:
             raise ValueError(f"unsupported type/rank {ctype}{rank}")
-
-    def _highest_root(self):
-        heights = []
-        simple_roots = [self.roots[i] for i in self.simple_idx]
-        for i in range(self.nposroots):
-            heights.append(sum(self._alpha_coords(self.roots[i], simple_roots)))
-        return max(range(self.nposroots), key=lambda i: heights[i])
 
     def _sanity_checks(self):
         counts = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n,
@@ -369,8 +358,7 @@ class RootDatum:
         if self.spec.ctype in ("A", "GL"):
             n = self.d
             return tuple(Fraction(n - 1 - i, n) for i in range(n))
-        simple_roots = [self.roots[i] for i in self.simple_idx]
-        theta_coeffs = self._alpha_coords(self.roots[self.theta_idx], simple_roots)
+        theta_coeffs = self.pos_root_coords[self.theta_idx]
         r = self.d
         fw = self._fundamental_coweights()
         p = [Fraction(0)] * r
@@ -382,41 +370,9 @@ class RootDatum:
     def _fundamental_coweights(self):
         """Rational vectors omega_i with <alpha_j, omega_i> = delta_ij."""
         r = len(self.simple_idx)
-        out = []
-        for i in range(r):
-            m = [[Fraction(self.roots[self.simple_idx[j]][t]) for t in range(self.d)]
-                 for j in range(r)]
-            rhs = [Fraction(1 if j == i else 0) for j in range(r)]
-            out.append(self._solve_frac(m, rhs))
-        return out
-
-    def _solve_frac(self, m, rhs):
-        # least-norm-ish solve of m x = rhs (rows m, d unknowns); for our data
-        # the system is consistent; free directions are set to 0 after
-        # eliminating, using column pivots.
-        rows, d = len(m), self.d
-        a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-        pivots = []
-        rr = 0
-        for col in range(d):
-            piv = next((i for i in range(rr, rows) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[rr], a[piv] = a[piv], a[rr]
-            pv = a[rr][col]
-            a[rr] = [x / pv for x in a[rr]]
-            for i in range(rows):
-                if i != rr and a[i][col] != 0:
-                    c = a[i][col]
-                    a[i] = [x - c * y for x, y in zip(a[i], a[rr])]
-            pivots.append(col)
-            rr += 1
-            if rr == rows:
-                break
-        x = [Fraction(0)] * d
-        for k, col in enumerate(pivots):
-            x[col] = a[k][d]
-        return tuple(x)
+        rows = [self.roots[i] for i in self.simple_idx]
+        return [tuple(solve_frac(rows, [1 if j == i else 0 for j in range(r)],
+                                 self.d)[0]) for i in range(r)]
 
     # -- lattices ------------------------------------------------------------
 
@@ -470,26 +426,8 @@ class RootDatum:
         """Coordinates of vec in the simple-coroot basis (None if outside span)."""
         r = len(self.simple_idx)
         cols = [self.coroots[ri] for ri in self.simple_idx]
-        a = [[Fraction(cols[j][t]) for j in range(r)] + [Fraction(vec[t])]
-             for t in range(self.d)]
-        rr = 0
-        pivots = []
-        for col in range(r):
-            piv = next((i for i in range(rr, self.d) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[rr], a[piv] = a[piv], a[rr]
-            pv = a[rr][col]
-            a[rr] = [x / pv for x in a[rr]]
-            for i in range(self.d):
-                if i != rr and a[i][col] != 0:
-                    c = a[i][col]
-                    a[i] = [x - c * y for x, y in zip(a[i], a[rr])]
-            pivots.append(col)
-            rr += 1
-        coeffs = [Fraction(0)] * r
-        for k, col in enumerate(pivots):
-            coeffs[col] = a[k][r]
+        rows = [[cols[j][t] for j in range(r)] for t in range(self.d)]
+        coeffs = solve_frac(rows, vec, r)[0]
         # verify (handles the central quotient: compare normal forms)
         chk = [sum(coeffs[j] * cols[j][t] for j in range(r)) for t in range(self.d)]
         if self.coweight_nf_frac(chk) != self.coweight_nf_frac(vec):
@@ -607,7 +545,8 @@ class SemistdParabolic:
         for i in range(len(datum.roots)):
             base = i if i < npos else i - npos
             # roots of the standard Levi M_J: support inside J
-            if self._in_span(base, self.levi_simple):
+            if all(c == 0 or ri in self.levi_simple
+                   for c, ri in zip(datum.pos_root_coords[base], datum.simple_idx)):
                 std_m_roots.add(i)
         act = W.root_act[self.u]
         self.r_m = frozenset(act[i] for i in std_m_roots)
@@ -617,15 +556,6 @@ class SemistdParabolic:
         self.two_rho_n = tuple(sum(datum.roots[i][t] for i in self.r_n)
                                for t in range(datum.d))
         self.lattice = datum.levi_lattice_quotient(self.r_m)
-
-    def _in_span(self, pos_root_idx, levi_simple):
-        datum = self.datum
-        simple_roots = [datum.roots[i] for i in datum.simple_idx]
-        coeffs = datum._alpha_coords(datum.roots[pos_root_idx], simple_roots)
-        for c, ri in zip(coeffs, datum.simple_idx):
-            if c != 0 and ri not in levi_simple:
-                return False
-        return True
 
     @property
     def is_standard(self):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .affine import AffineWeyl
 from .alcoves import is_fundamental_p_alcove, newton_vector, pair_two_rho
 from .roots import RootDatum, semistandard_parabolics, standard_parabolic
-from .snf import integer_kernel, solve_integer
+from .snf import integer_kernel, solve_frac, solve_integer
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,13 @@ def _gcd(a, b):
     return a
 
 
-_classify_cache: dict[tuple, SigmaConjClass] = {}
-
-
 def classify(ctx: AffineWeyl, xid: int) -> SigmaConjClass:
     """The sigma-conjugacy class of x, as (Newton point, kappa) plus home data."""
     datum = ctx.datum
     nu = newton_point(ctx, xid)
     kappa = datum.lambda_g.normal_form(ctx.translation(xid))
-    key = (id(datum), nu, kappa)
-    got = _classify_cache.get(key)
+    key = (nu, kappa)
+    got = ctx.classes.get(key)
     if got is not None:
         return got
     home = home_parabolic_of(datum, nu)
@@ -147,7 +144,7 @@ def classify(ctx: AffineWeyl, xid: int) -> SigmaConjClass:
                if datum.lambda_g.normal_form(lam) == kappa}
     assert len(matches) == 1, (nu, kappa, matches)
     got = SigmaConjClass(nu, kappa, home, next(iter(matches)))
-    _classify_cache[key] = got
+    ctx.classes[key] = got
     return got
 
 
@@ -203,33 +200,12 @@ def defect(ctx: AffineWeyl, c: SigmaConjClass) -> int:
     w = ctx.finite(x)
     W = datum.weyl
     d = datum.d
-    m = [[Fraction(W.mats[w][i][j]) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        m[i][i] -= 1
-    fixdim = d - _rank_frac(m)
+    m = [[W.mats[w][i][j] - (i == j) for j in range(d)] for i in range(d)]
+    fixdim = d - solve_frac(m, [0] * d, d)[1]
     rank = d - (1 if datum.central is not None else 0)
     if datum.central is not None:
         fixdim -= 1  # the central line is always fixed
     return rank - fixdim
-
-
-def _rank_frac(m):
-    m = [row[:] for row in m]
-    n = len(m)
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(n):
-            if i != rank and m[i][col] != 0:
-                cc = m[i][col]
-                m[i] = [x - cc * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def enumerate_classes(ctx: AffineWeyl, bound: int):
@@ -251,15 +227,7 @@ def enumerate_classes(ctx: AffineWeyl, bound: int):
         lat = p.lattice
         wm = sorted(p.w_m)
         outside = [ri for ri in datum.simple_idx if ri not in home]
-        ranges = []
-        for m in lat.moduli:
-            if m == 1:
-                ranges.append([0])
-            elif m == 0:
-                ranges.append(range(-box, box + 1))
-            else:
-                ranges.append(range(m))
-        for nf in itertools.product(*ranges):
+        for nf in lat.window(box):
             lam = lat.lift(nf)
             acc = [0] * datum.d
             for w in wm:

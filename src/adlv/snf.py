@@ -18,6 +18,7 @@ of Levi subgroups as concrete computable groups.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -135,26 +136,44 @@ def smith_normal_form(mat):
     return d, U, V
 
 
+def solve_frac(rows, rhs, ncols):
+    """
+    Exact Gauss-Jordan elimination of rows * x = rhs over Q, with ncols
+    unknowns.  Returns (x, rank): x has its free coordinates set to 0 and
+    solves the system whenever it is consistent (callers that may pass an
+    inconsistent system verify x).
+
+    >>> solve_frac([[1, 1], [2, 2]], [3, 6], 2)
+    ([Fraction(3, 1), Fraction(0, 1)], 1)
+    """
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                c = a[i][col]
+                a[i] = [v - c * w for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+    x = [Fraction(0)] * ncols
+    for k, col in enumerate(pivots):
+        x[col] = a[k][ncols]
+    return x, len(pivots)
+
+
 def mat_inverse_unimodular(V):
     """Inverse of a unimodular integer matrix, again integral."""
     n = len(V)
-    aug = [row[:] + identity_matrix(n)[i] for i, row in enumerate(V)]
-    # fraction-free-ish Gauss via Fractions, then round (entries are integers)
-    fa = [[Fraction(x) for x in row] for row in aug]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if fa[i][col] != 0)
-        fa[col], fa[piv] = fa[piv], fa[col]
-        pv = fa[col][col]
-        fa[col] = [x / pv for x in fa[col]]
-        for i in range(n):
-            if i != col and fa[i][col] != 0:
-                c = fa[i][col]
-                fa[i] = [x - c * y for x, y in zip(fa[i], fa[col])]
-    inv = [[int(fa[i][n + j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            assert fa[i][n + j] == inv[i][j], "matrix was not unimodular"
-    return inv
+    cols = [solve_frac(V, identity_matrix(n)[j], n)[0] for j in range(n)]
+    if any(v.denominator != 1 for col in cols for v in col):
+        raise ArithmeticError("matrix was not unimodular")
+    return [[int(cols[j][i]) for j in range(n)] for i in range(n)]
 
 
 def integer_kernel(mat):
@@ -206,14 +225,20 @@ class LatticeQuotient:
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
 
+    def window(self, spread: int):
+        """
+        Normal forms with every free coordinate in [-spread, spread] and every
+        torsion coordinate in [0, m), in itertools.product order.
+        """
+        ranges = [range(-spread, spread + 1) if m == 0 else range(m)
+                  for m in self.moduli]
+        return itertools.product(*ranges)
+
     def elements(self):
         """All elements; only valid when the group is finite."""
-        if any(m == 0 for m in self.moduli):
+        if self.order() is None:
             raise ValueError("infinite group")
-        out = [()]
-        for m in self.moduli:
-            out = [t + (v,) for t in out for v in range(m)]
-        return out
+        return list(self.window(0))
 
     def order(self):
         n = 1

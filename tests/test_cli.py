@@ -210,3 +210,13 @@ def test_trivial_figure_single_alcove(tmp_path):
     body = svg.read_text()
     assert body.count("<polygon") == 1
     assert 'fill="black"' in body
+
+
+def test_solve_cache_key_unchanged():
+    # query and survey share one key builder; its keys must match the ones
+    # earlier versions wrote, so existing caches stay valid
+    from adlv import affine_context, build_root_datum, classify
+    ctx = affine_context(build_root_datum("C", 2))
+    cls = classify(ctx, ctx.identity)
+    assert cli._solve_key(ctx, cls, ctx.parse("s0*s1"), 7) == \
+        "569e8f8cadb9a72b67b4506f3a7fdc42c1b1faf55fce559d9f2685a42578d2e6"

@@ -273,16 +273,43 @@ def test_predictors_agree_on_shrunken_alcoves(c2_ctx):
             assert (levi_status == "empty") == (shr_status == "empty"), ctx.format(x)
 
 
+def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
+    """
+    The per-w solver the sweep kernel replaced, kept as an independent route:
+    one orbit_dim_table and dim_stratum per w, no prefix sharing.  Returns
+    (status, dim, witness).
+    """
+    if eng.emptiness_certificate(ctx, x, cls) is not None:
+        return "empty-certified", None, None
+    b, p, _corr = eng.class_data(ctx, cls)
+    best = best_w = None
+    for w in eng.sweep_elements(ctx, cutoff, eng.omega_window(ctx, cls, [x, b])):
+        table = eng.orbit_dim_table(ctx, x, p, w, "periodic")
+        if ctx.mul(ctx.mul(ctx.inv(w), b), w) not in table:
+            continue
+        val = eng.dim_stratum(ctx, x, cls, w, table)
+        if best is None or val > best:
+            best, best_w = val, w
+            if stop_at_first:
+                break
+    if best is None:
+        return "empty-up-to-cutoff", None, None
+    return "nonempty", best, best_w
+
+
+def outcome(res):
+    return res.status, res.dim, res.witness_w
+
+
 def test_survey_matches_single_solve(c2_ctx):
     ctx = c2_ctx
     cls = sg.classify(ctx, ctx.identity)
     xs = ball_with_omega(ctx, 5)
     batch = eng.survey_batch(ctx, cls, xs, cutoff=7)
     for x in xs:
-        single = eng.solve(ctx, x, cls, cutoff=7)
-        assert batch[x].status == single.status
-        assert batch[x].dim == single.dim
-        assert batch[x].witness_w == single.witness_w
+        want = reference_solve(ctx, x, cls, 7)
+        assert outcome(batch[x]) == want
+        assert outcome(eng.solve(ctx, x, cls, cutoff=7)) == want
     # GL3 (infinite Lambda_G) with a non-basic class: each x keeps the
     # Omega-window solve gives it, whatever else is in the batch
     gl3 = affine_context(build_root_datum("GL", 3))
@@ -292,10 +319,52 @@ def test_survey_matches_single_solve(c2_ctx):
     batch = eng.survey_batch(gl3, cls, xs, cutoff=8)
     assert any(r.nonempty for r in batch.values())
     for x in xs:
-        single = eng.solve(gl3, x, cls, cutoff=8)
-        assert batch[x].status == single.status
-        assert batch[x].dim == single.dim
-        assert batch[x].witness_w == single.witness_w
+        want = reference_solve(gl3, x, cls, 8)
+        assert outcome(batch[x]) == want
+        assert outcome(eng.solve(gl3, x, cls, cutoff=8)) == want
+
+
+def test_survey_stop_at_first_statuses(a2_ctx, gl3_ctx):
+    gl3_cls = parse_class_key(gl3_ctx, "nu=[1,0,0];kappa=[0,0,1]")
+    cases = [(a2_ctx, sg.classify(a2_ctx, a2_ctx.identity), ball_with_omega(a2_ctx, 5), 7),
+             (gl3_ctx, gl3_cls, survey_elements(gl3_ctx, gl3_cls, 4), 8)]
+    for ctx, cls, xs, cutoff in cases:
+        full = eng.survey_batch(ctx, cls, xs, cutoff)
+        first = eng.survey_batch(ctx, cls, xs, cutoff, stop_at_first=True)
+        assert set(first) == set(full)
+        assert sum(r.nonempty for r in full.values()) > 1
+        for x in xs:
+            assert first[x].status == full[x].status
+            if full[x].nonempty:
+                assert first[x].dim <= full[x].dim
+            # each x takes the first w of the sweep that meets its stratum
+            assert outcome(first[x]) == reference_solve(ctx, x, cls, cutoff,
+                                                        stop_at_first=True)
+            assert outcome(eng.solve(ctx, x, cls, cutoff, stop_at_first=True)) == \
+                outcome(first[x])
+
+
+def test_p_alcove_parabolics_is_the_filtered_list(c2_ctx, gl3_ctx):
+    for ctx in (c2_ctx, gl3_ctx):
+        paras = semistandard_parabolics(ctx.datum)
+        for x in ball_with_omega(ctx, 4):
+            want = [p for p in paras
+                    if not p.is_full and is_p_alcove(ctx, x, p).verdict]
+            assert list(eng.p_alcove_parabolics(ctx, x)) == want
+
+
+def test_memo_tables_live_on_their_objects():
+    from adlv.roots import RootDatum
+    d1 = RootDatum("C", 2, "adjoint")
+    d2 = RootDatum("C", 2, "adjoint")
+    c1, c2 = affine_context(d1), affine_context(d2)
+    assert d1._context is c1 and affine_context(d1) is c1
+    assert c2 is not c1
+    cls = sg.classify(c1, c1.identity)
+    assert sg.classify(c1, c1.identity) is cls
+    assert list(c1.classes.values()) == [cls]
+    assert c2.classes == {}
+    assert sg.classify(c2, c2.identity) is not cls
 
 
 def test_superset_basics(a2_ctx):
