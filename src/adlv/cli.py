@@ -9,8 +9,9 @@ Subcommands:
             comparing the computed status against the predictions
   figure    rank-2 SVG/TSV picture of the emptiness/dimension pattern
 
-Exit codes: 0 = ran, 1 = usage error, 2 = a disagreement was found in
---check mode.  The default cache directory comes from $ADLV_CACHE_DIR.
+Exit codes: 0 = ran, 1 = usage error or bad input (one "adlv: ..." line on
+stderr), 2 = a disagreement was found in --check mode.  The default cache
+directory comes from $ADLV_CACHE_DIR.
 
 JSON output schema (version 1).  Survey records and query output carry:
 x, length, shrunken, eta1, eta2, class_key, computed {status, dim,
@@ -96,9 +97,27 @@ def parse_class_key(ctx, text: str):
         parts = dict(kv.split("=", 1) for kv in text.split(";"))
         nu = tuple(Fraction(v) for v in parts["nu"].strip("[]").split(","))
         kappa = tuple(int(v) for v in parts["kappa"].strip("[]").split(","))
-    except (KeyError, ValueError) as exc:
+        if len(nu) != datum.d or len(kappa) != datum.lambda_g.d:
+            raise ValueError(f"nu needs {datum.d} coordinates and kappa "
+                             f"{datum.lambda_g.d}")
+        return sg.class_from_invariants(datum, nu, kappa)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"adlv: cannot parse class key {text!r}: {exc}")
-    return sg.class_from_invariants(datum, nu, kappa)
+
+
+def _datum(args):
+    """The root datum named by --type, --rank and --variant."""
+    try:
+        return build_root_datum(args.type, args.rank, args.variant)
+    except ValueError as exc:
+        raise SystemExit(f"adlv: {exc}")
+
+
+def _parse_element(ctx, text):
+    try:
+        return ctx.parse(text)
+    except ValueError as exc:
+        raise SystemExit(f"adlv: cannot parse element {text!r}: {exc}")
 
 
 def class_row(ctx, cls):
@@ -122,7 +141,7 @@ def class_row(ctx, cls):
 
 
 def cmd_classes(args, out=sys.stdout):
-    datum = build_root_datum(args.type, args.rank, args.variant)
+    datum = _datum(args)
     ctx = affine_context(datum)
     classes = sg.enumerate_classes(ctx, args.bound)
     seen = set()
@@ -183,10 +202,10 @@ def _wname(datum, w):
 
 
 def cmd_query(args, out=sys.stdout):
-    datum = build_root_datum(args.type, args.rank, args.variant)
+    datum = _datum(args)
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
-    xid = ctx.parse(args.x)
+    xid = _parse_element(ctx, args.x)
     cutoff = args.cutoff if args.cutoff is not None else eng.default_cutoff(ctx, xid, cls)
     store = CacheStore(args.cache_dir)
     key = _solve_key(ctx, cls, xid, cutoff)
@@ -281,7 +300,7 @@ def _survey_worker(payload):
 
 
 def cmd_survey(args, out=sys.stdout):
-    datum = build_root_datum(args.type, args.rank, args.variant)
+    datum = _datum(args)
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
     xs = survey_elements(ctx, cls, args.max_len)
@@ -300,9 +319,12 @@ def cmd_survey(args, out=sys.stdout):
     if jobs > 1 and len(todo) > 8:
         import multiprocessing as mp
         spec = (datum.spec.ctype, datum.spec.rank, datum.spec.variant)
-        # build the parabolics before forking, so that the workers inherit
-        # them instead of each building its own for the certificate pass
+        # build the parabolics and fill the Levi-target memo before forking,
+        # so that the workers inherit them for the certificate pass instead
+        # of each filling its own, and record_for below finds them too
         semistandard_parabolics(datum)
+        for x in todo:
+            eng.emptiness_certificate(ctx, x, cls)
         chunks = [todo[i::jobs] for i in range(jobs)]
         payloads = [(spec, cls.key(), cutoff, [ctx.format(x) for x in ch])
                     for ch in chunks if ch]
@@ -348,7 +370,7 @@ def cmd_survey(args, out=sys.stdout):
 
 
 def cmd_figure(args, out=sys.stdout):
-    datum = build_root_datum(args.type, args.rank, args.variant)
+    datum = _datum(args)
     if datum.weyl.rank != 2:
         raise SystemExit("adlv: figures need a rank-2 type (A2, B2, C2, G2)")
     ctx = affine_context(datum)

@@ -32,10 +32,18 @@ point is W-conjugate to that of b).  The sup over w is swept in length
 shells up to a cutoff, with the honest outcome "empty up to cutoff" when
 nothing is found.  One sweep kernel, survey_batch, does this for any number
 of x at once; solve is survey_batch on a single x.
+
+Wall patterns.  A fold over the reduced words of the x meets only finitely
+many walls {beta = j}, and reads the profile m_J only through the tests
+j >= m_J(beta) at those walls.  So the w of a sweep fall into wall patterns,
+the classes of w that pass the same tests, and all w of one pattern have the
+same dimension tables: survey_batch folds once per pattern and looks every
+w of the pattern up in the shared frontiers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -272,7 +280,8 @@ def predict_shrunken(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     if not has_full_support(datum, u):
         return "empty", None
     num = ctx.length(xid) + datum.weyl.length[u] - defect(ctx, cls)
-    assert num % 2 == 0, "parity failure in the shrunken dimension formula"
+    if num % 2:
+        raise ArithmeticError("parity failure in the shrunken dimension formula")
     return "nonempty", num // 2
 
 
@@ -286,7 +295,8 @@ def coxeter_number(datum) -> int:
 def default_cutoff(ctx: AffineWeyl, xid: int, cls: SigmaConjClass) -> int:
     nu_dom = ctx.datum.dominant(cls.newton)
     extra = pair_two_rho(ctx.datum, nu_dom)
-    assert extra.denominator in (1, 2)
+    if extra.denominator not in (1, 2):
+        raise ArithmeticError(f"<2rho, nu> = {extra} is not a half-integer")
     return ctx.length(xid) + int(extra) + 2 * coxeter_number(ctx.datum)
 
 
@@ -332,38 +342,42 @@ def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
 
 
 def class_data(ctx: AffineWeyl, cls: SigmaConjClass):
-    """(standard rep, home parabolic, correction <rho, nu + nu_dom>)."""
+    """
+    (standard rep, home parabolic, corr2), with corr2 = <2rho, nu + nu_dom>
+    the integer twice the correction <rho, nu + nu_dom>.
+    """
     datum = ctx.datum
     p = standard_parabolic(datum, cls.home_simple)
     b = standard_representative(ctx, cls)
     nu = newton_vector(ctx, b)
     nu_dom = datum.dominant(nu)
     corr2 = pair_two_rho(datum, nu) + pair_two_rho(datum, nu_dom)
-    assert corr2.denominator == 1
-    return b, p, Fraction(corr2, 2)
+    if corr2.denominator != 1:
+        raise ArithmeticError(f"<2rho, nu + nu_dom> = {corr2} is not an integer")
+    return b, p, int(corr2)
 
 
-def stratum_value(got: int, corr: Fraction) -> int:
+def stratum_value(got: int, corr2: int) -> int:
     """
-    A table entry minus the correction <rho, nu + nu_dom>: the dimension of a
-    non-empty stratum.  A fractional or negative value violates the theory
-    and raises.
+    A table entry minus the correction corr2 / 2 = <rho, nu + nu_dom>: the
+    dimension of a non-empty stratum.  A fractional or negative value
+    violates the theory and raises.
     """
-    val = Fraction(got) - corr
-    if val.denominator != 1 or val < 0:
+    twice = 2 * got - corr2
+    if twice % 2 or twice < 0:
         raise ArithmeticError(
-            f"stratum dimension {val} is not a nonnegative integer")
-    return int(val)
+            f"stratum dimension {Fraction(twice, 2)} is not a nonnegative integer")
+    return twice // 2
 
 
 def dim_stratum(ctx: AffineWeyl, xid: int, cls: SigmaConjClass, wid: int,
                 table: dict | None = None):
     """dim(X_x(b) cap I_P w.a), or None when the stratum is empty."""
-    b, p, corr = class_data(ctx, cls)
+    b, p, corr2 = class_data(ctx, cls)
     if table is None:
         table = orbit_dim_table(ctx, xid, p, wid, "periodic")
     got = table.get(ctx.mul(ctx.mul(ctx.inv(wid), b), wid))
-    return None if got is None else stratum_value(got, corr)
+    return None if got is None else stratum_value(got, corr2)
 
 
 def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
@@ -378,7 +392,59 @@ def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
 
 
 # ---------------------------------------------------------------------------
-# the sweep kernel (shared folding frontiers across all x per w)
+# the sweep kernel (folding frontiers shared across all x and, per wall
+# pattern, across all w)
+
+def prefix_tree(ctx: AffineWeyl, words: dict):
+    """
+    The prefix tree of the reduced words {x: (word, tau)}, deduped by
+    element: (parents, need, order), with parents[u] = (previous prefix,
+    generator), need[u] = [(x, tau), ...] for the x whose word ends at u, and
+    order the prefixes other than e by length, so parents come first.
+    """
+    parents: dict[int, tuple | None] = {ctx.identity: None}
+    need: dict[int, list] = {}
+    for x, (word, tau) in words.items():
+        cur = ctx.identity
+        for gi in word:
+            nxt = ctx.step_row(cur)[gi][0]
+            if nxt not in parents:
+                parents[nxt] = (cur, gi)
+            cur = nxt
+        need.setdefault(cur, []).append((x, tau))
+    order = sorted((u for u in parents if u != ctx.identity), key=ctx.length)
+    return parents, need, order
+
+
+def fold_walls(ctx: AffineWeyl, parents: dict, order) -> list:
+    """
+    walls[beta]: the sorted levels j of every wall {beta = j} that a fold
+    over the prefix tree can meet.  A frontier only holds elements of its
+    node's reach set, reach[e] = {e} and reach[u] = reach[par] together with
+    reach[par] * s_gi, so the walls are those of the steps out of reach[par].
+    """
+    walls = [set() for _ in range(ctx.datum.nposroots)]
+    reach = {ctx.identity: {ctx.identity}}
+    for u in order:
+        par, gi = parents[u]
+        grown = set(reach[par])
+        for c in reach[par]:
+            cs, beta, j, _ = ctx.step_row(c)[gi]
+            walls[beta].add(j)
+            grown.add(cs)
+        reach[u] = grown
+    return [sorted(levels) for levels in walls]
+
+
+def wall_key(walls: list, profile) -> tuple:
+    """
+    For each positive root beta, how many walls {beta = j} of walls lie
+    below profile[beta]: fold_step tests j >= profile[beta], so two profiles
+    with one key fold identically over the tree the walls came from.
+    """
+    return tuple(bisect_left(levels, profile[beta])
+                 for beta, levels in enumerate(walls))
+
 
 def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
                  stop_at_first: bool = False):
@@ -386,15 +452,25 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     Decide X_x(b) for many x at once; returns {x: AdlvResult}.  Certificates
     come first, per x (sound emptiness).  The x they leave are decided by one
     sweep over w in length shells up to the cutoff, reporting for each x its
-    best stratum and the first w that reaches it.  Each x keeps its own
-    Omega-window (omega_window(ctx, cls, [x, b])) and accepts only the w
-    whose component lies in it, so a result does not depend on how the x
-    are split into batches.  The sweep shares the folding frontiers across
-    all x with a breadth-first walk over reduced-word prefixes.
+    best stratum and the first w of the sweep that reaches it.  Each x keeps
+    its own Omega-window (omega_window(ctx, cls, [x, b])) and accepts only
+    the w whose component lies in it, so a result does not depend on how the
+    x are split into batches.
 
-    With stop_at_first each x takes its first non-empty stratum and the sweep
-    ends once every x has one: the statuses are exact, the dimensions only
-    lower bounds.
+    The folding frontiers are shared twice.  Across the x, by a walk over the
+    prefix tree of their reduced words.  Across the w, by wall pattern: a fold
+    reads the profile of w only through the tests j >= profile[beta] at the
+    walls {beta = j} of fold_walls, so wall_key, which counts for each
+    positive beta the walls below profile[beta], fixes every fold decision.
+    The sweep groups the w by key, folds once per group in the order of the
+    group's first sweep position, and looks up every member of the group in
+    those frontiers; between equal strata the lowest sweep position wins,
+    which is the first w in sweep order.  Only one group's frontiers are
+    held at a time.
+
+    With stop_at_first each x takes the first w of the sweep with a
+    non-empty stratum, and the sweep ends once no later group can hold an
+    earlier one: the statuses are exact, the dimensions only lower bounds.
     """
     results: dict[int, AdlvResult] = {}
     pending_words = {}
@@ -407,65 +483,77 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
             pending_words[x] = ctx.reduced_word(x)
     if not pending_words:
         return results
-    b, p, corr = class_data(ctx, cls)
-    # the window depends on x only when Lambda_G is infinite
-    shared = None
+    b, p, corr2 = class_data(ctx, cls)
+    # for finite Lambda_G every x sweeps all of Omega_G, and each w = u * tau
+    # has eta_G(w) = eta_G(tau), so every w is allowed; else the window
+    # depends on x
+    allowed = None
     if ctx.datum.lambda_g.order() is not None:
-        shared = omega_window(ctx, cls, [b])
-    omegas: set[int] = set()
-    allowed = {}
-    for x in pending_words:
-        window = shared if shared is not None else omega_window(ctx, cls, [x, b])
-        omegas.update(window)
-        allowed[x] = frozenset(ctx.omega_class(t) for t in window)
-    # prefix tree over the canonical reduced words of the pending x, deduped
-    # by element: parent[u] = (previous prefix, generator)
-    parents: dict[int, tuple | None] = {ctx.identity: None}
-    need: dict[int, list] = {}
-    for x, (word, tau) in pending_words.items():
-        cur = ctx.identity
-        for gi in word:
-            nxt = ctx.step_row(cur)[gi][0]
-            if nxt not in parents:
-                parents[nxt] = (cur, gi)
-            cur = nxt
-        need.setdefault(cur, []).append((x, tau))
-    order = sorted((u for u in parents if u != ctx.identity), key=ctx.length)
-    tau_invs = {tau: ctx.inv(tau) for xs in need.values() for _, tau in xs}
-    best: dict[int, tuple] = {x: (None, None) for x in pending_words}
-    undecided = len(best)
-    for w in sweep_elements(ctx, cutoff, omegas):
-        wcls = ctx.omega_class(w)
+        omegas = set(omega_window(ctx, cls, [b]))
+    else:
+        omegas = set()
+        allowed = {}
+        for x in pending_words:
+            window = omega_window(ctx, cls, [x, b])
+            omegas.update(window)
+            allowed[x] = frozenset(ctx.omega_class(t) for t in window)
+    parents, need, order = prefix_tree(ctx, pending_words)
+    walls = fold_walls(ctx, parents, order)
+    # wall key -> (profile of its first w, [(sweep position, w), ...]), in
+    # the order of first positions
+    groups: dict[tuple, tuple] = {}
+    for pos, w in enumerate(sweep_elements(ctx, cutoff, omegas)):
         profile = orientation_profile(ctx, p, w)
-        # x = word * tau meets btilde = w^{-1} b w where the word's frontier
-        # holds btilde * tau^{-1}
-        btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
-        keys = {tau: ctx.mul(btilde, ti) for tau, ti in tau_invs.items()}
+        key = wall_key(walls, profile)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (profile, [(pos, w)])
+        else:
+            group[1].append((pos, w))
+    tau_invs = {tau: ctx.inv(tau) for xs in need.values() for _, tau in xs}
+    # best[x] = (dim, sweep position, w) of the stratum kept so far
+    best: dict[int, tuple | None] = dict.fromkeys(pending_words)
+    undecided = len(best)
+    for profile, members in groups.values():
+        if stop_at_first and not undecided and \
+                all(hit[1] < members[0][0] for hit in best.values()):
+            break
         frontiers = {ctx.identity: {ctx.identity: 0}}
         for u in order:
             par, gi = parents[u]
             frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
-        for u, xs in need.items():
-            frontier = frontiers[u]
-            for x, tau in xs:
-                got = frontier.get(keys[tau])
-                cur = best[x][0]
-                if got is None or wcls not in allowed[x] or \
-                        (stop_at_first and cur is not None):
-                    continue
-                val = stratum_value(got, corr)
-                if cur is None:
-                    undecided -= 1
-                if cur is None or val > cur:
-                    best[x] = (val, w)
-        if stop_at_first and not undecided:
-            break
-    for x in pending_words:
-        dim, w = best[x]
-        if dim is None:
+        for pos, w in members:
+            # x = word * tau meets btilde = w^{-1} b w where the word's
+            # frontier holds btilde * tau^{-1}
+            btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
+            keys = {tau: ctx.mul(btilde, ti) for tau, ti in tau_invs.items()}
+            wcls = None
+            for u, xs in need.items():
+                frontier = frontiers[u]
+                for x, tau in xs:
+                    got = frontier.get(keys[tau])
+                    if got is None:
+                        continue
+                    if allowed is not None:
+                        if wcls is None:
+                            wcls = ctx.omega_class(w)
+                        if wcls not in allowed[x]:
+                            continue
+                    cur = best[x]
+                    if stop_at_first and cur is not None and cur[1] < pos:
+                        continue
+                    val = stratum_value(got, corr2)
+                    if cur is None:
+                        undecided -= 1
+                    elif not stop_at_first and (val, -pos) <= (cur[0], -cur[1]):
+                        continue
+                    best[x] = (val, pos, w)
+    for x, hit in best.items():
+        if hit is None:
             results[x] = AdlvResult("empty-up-to-cutoff", cutoff=cutoff)
         else:
-            results[x] = AdlvResult("nonempty", dim=dim, witness_w=w, cutoff=cutoff)
+            results[x] = AdlvResult("nonempty", dim=hit[0], witness_w=hit[2],
+                                    cutoff=cutoff)
     return results
 
 
@@ -568,7 +656,8 @@ def solve_levi_basic(ctx: AffineWeyl, p: SemistdParabolic, yid: int, bid: int,
         if yid == bid:
             return "nonempty", 0
         return "empty-certified", None
-    assert ctx.length_levi(bid, p) == 0, "representative must be basic over the Levi"
+    if ctx.length_levi(bid, p) != 0:
+        raise ValueError("representative must be basic over the Levi")
     if p.eta_m(ctx.translation(yid)) != p.eta_m(ctx.translation(bid)):
         return "empty-certified", None
     gens = levi_affine_generators(ctx, p)
@@ -620,7 +709,7 @@ def reduce_to_basic(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
         cutoff = default_cutoff(ctx, xid, cls)
     if cls.home_simple == frozenset(datum.simple_idx):
         return solve(ctx, xid, cls, cutoff)
-    b, p, corr = class_data(ctx, cls)
+    b, p, corr2 = class_data(ctx, cls)
     best = None
     best_w = None
     for wfin in minimal_coset_reps(datum, p):
@@ -630,18 +719,19 @@ def reduce_to_basic(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
             continue
         pprime = conj_parabolic(p, datum.weyl.inv[wfin])
         btilde = ctx.conj(ctx.inv(w), b)
-        assert ctx.length_levi(btilde, pprime) == 0
+        if ctx.length_levi(btilde, pprime) != 0:
+            raise RuntimeError("the conjugated representative is not basic over the Levi")
         for y, dinf in sorted(table.items()):
             status, dm = solve_levi_basic(ctx, pprime, y, btilde, cutoff)
             if status != "nonempty":
                 continue
-            val = Fraction(dinf + dm) - corr
-            if val.denominator != 1:
+            twice = 2 * (dinf + dm) - corr2
+            if twice % 2:
                 raise ArithmeticError("fractional dimension in the Levi recursion")
-            if val < 0:
+            if twice < 0:
                 continue
-            if best is None or int(val) > best:
-                best, best_w = int(val), w
+            if best is None or twice // 2 > best:
+                best, best_w = twice // 2, w
     if best is None:
         return AdlvResult("empty-up-to-cutoff", cutoff=cutoff)
     return AdlvResult("nonempty", dim=best, witness_w=best_w, cutoff=cutoff)

@@ -150,7 +150,8 @@ def classify(ctx: AffineWeyl, xid: int) -> SigmaConjClass:
 
 def class_from_invariants(datum: RootDatum, nu, kappa) -> SigmaConjClass:
     nu = datum.coweight_nf_frac(nu)
-    assert datum.is_dominant(nu), "Newton point must be dominant"
+    if not datum.is_dominant(nu):
+        raise ValueError("Newton point must be dominant")
     home = home_parabolic_of(datum, nu)
     p = standard_parabolic(datum, home)
     cands = levi_classes_with_newton(datum, p.r_m, nu)

@@ -202,6 +202,26 @@ def test_usage_error_exit_code():
     assert proc.returncode == 1
 
 
+A2 = ["--type", "A", "--rank", "2", "--variant", "SL"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", *A2, "--class-key", "trivial", "--x", "s9"],
+    ["query", *A2, "--class-key", "trivial", "--x", "t[1,0]"],
+    ["query", *A2, "--class-key", "nu=[1,0];kappa=[0]", "--x", "s1"],
+    ["query", "--type", "Q", "--rank", "2", "--class-key", "trivial", "--x", "s1"],
+], ids=["bad-generator", "short-translation", "short-class-key", "bad-type"])
+def test_bad_input_is_one_line_and_exit_1(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "adlv.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("adlv: "), proc.stderr
+
+
 def test_trivial_figure_single_alcove(tmp_path):
     svg = tmp_path / "one.svg"
     code, _ = run_cli(["figure", "--type", "C", "--rank", "2",

@@ -324,9 +324,10 @@ def test_survey_matches_single_solve(c2_ctx):
         assert outcome(eng.solve(gl3, x, cls, cutoff=8)) == want
 
 
-def test_survey_stop_at_first_statuses(a2_ctx, gl3_ctx):
+def test_survey_stop_at_first_statuses(a2_ctx, c2_ctx, gl3_ctx):
     gl3_cls = parse_class_key(gl3_ctx, "nu=[1,0,0];kappa=[0,0,1]")
     cases = [(a2_ctx, sg.classify(a2_ctx, a2_ctx.identity), ball_with_omega(a2_ctx, 5), 7),
+             (c2_ctx, sg.classify(c2_ctx, c2_ctx.identity), ball_with_omega(c2_ctx, 5), 7),
              (gl3_ctx, gl3_cls, survey_elements(gl3_ctx, gl3_cls, 4), 8)]
     for ctx, cls, xs, cutoff in cases:
         full = eng.survey_batch(ctx, cls, xs, cutoff)
@@ -342,6 +343,34 @@ def test_survey_stop_at_first_statuses(a2_ctx, gl3_ctx):
                                                         stop_at_first=True)
             assert outcome(eng.solve(ctx, x, cls, cutoff, stop_at_first=True)) == \
                 outcome(first[x])
+
+
+@pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
+    (("C", 2, "adjoint"), "trivial", 6, 8),
+    (("G", 2, "adjoint"), "trivial", 5, 7),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 7),
+])
+def test_wall_key_fixes_the_fold(spec, class_key, max_len, cutoff):
+    # all w of one sweep that share a wall key have the same dimension table
+    # for every x whose words gave the walls
+    ctx = affine_context(build_root_datum(*spec))
+    cls = parse_class_key(ctx, class_key)
+    xs = random.Random(7).sample(survey_elements(ctx, cls, max_len), 6)
+    b, p, _corr2 = eng.class_data(ctx, cls)
+    parents, _need, order = eng.prefix_tree(ctx, {x: ctx.reduced_word(x) for x in xs})
+    walls = eng.fold_walls(ctx, parents, order)
+    ws = eng.sweep_elements(ctx, cutoff, eng.omega_window(ctx, cls, xs + [b]))
+    groups = {}
+    for w in ws:
+        key = eng.wall_key(walls, eng.orientation_profile(ctx, p, w))
+        groups.setdefault(key, []).append(w)
+    assert 1 < len(groups) < len(ws)
+    for members in groups.values():
+        for x in xs:
+            table = eng.orbit_dim_table(ctx, x, p, members[0])
+            for w in members[1:]:
+                assert eng.orbit_dim_table(ctx, x, p, w) == table, \
+                    (ctx.format(x), ctx.format(members[0]), ctx.format(w))
 
 
 def test_p_alcove_parabolics_is_the_filtered_list(c2_ctx, gl3_ctx):
@@ -436,11 +465,11 @@ def test_reduce_to_basic_example_94(a2_ctx):
 def test_reduce_to_basic_rejects_wrong_levi_rep(a2_ctx):
     # the standard representative is always basic over its Levi, so the
     # recursion applies to every class; spot-check the Levi solver's
-    # basicness assertion instead
+    # basicness check instead (an exception, so it survives python -O)
     ctx = a2_ctx
     p = standard_parabolic(ctx.datum, frozenset({ctx.datum.simple_idx[0]}))
     y = ctx.from_translation((1, -1, 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="basic over the Levi"):
         eng.solve_levi_basic(ctx, p, y, ctx.from_translation((2, -2, 0)), 4)
 
 
