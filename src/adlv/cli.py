@@ -113,13 +113,6 @@ def _datum(args):
         raise SystemExit(f"adlv: {exc}")
 
 
-def _parse_element(ctx, text):
-    try:
-        return ctx.parse(text)
-    except ValueError as exc:
-        raise SystemExit(f"adlv: cannot parse element {text!r}: {exc}")
-
-
 def class_row(ctx, cls):
     datum = ctx.datum
     rep = sg.standard_representative(ctx, cls)
@@ -205,7 +198,10 @@ def cmd_query(args, out=sys.stdout):
     datum = _datum(args)
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
-    xid = _parse_element(ctx, args.x)
+    try:
+        xid = ctx.parse(args.x)
+    except ValueError as exc:
+        raise SystemExit(f"adlv: cannot parse element {args.x!r}: {exc}")
     cutoff = args.cutoff if args.cutoff is not None else eng.default_cutoff(ctx, xid, cls)
     store = CacheStore(args.cache_dir)
     key = _solve_key(ctx, cls, xid, cutoff)
