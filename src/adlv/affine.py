@@ -27,8 +27,7 @@ by a length-zero element.
 
 from __future__ import annotations
 
-from .roots import RootDatum, SemistdParabolic
-from .snf import solve_frac
+from .roots import RootDatum, SemistdParabolic, standard_parabolic
 
 
 class AffineWeyl:
@@ -51,8 +50,11 @@ class AffineWeyl:
         # the step table, filled by step_row: element id -> one row entry
         # (c * s_i, beta, j, upper) per affine generator s_i
         self.steps: dict[int, tuple] = {}
-        # memo of engine.levi_eta_targets: (parabolic, class, kappa filter)
+        # memo of engine.levi_eta_targets: (Levi root set, class key, kappa
+        # filter) -> targets; the targets depend on P only through M
         self.levi_targets: dict[tuple, set] = {}
+        # memo of engine.newton_orbit: Newton point -> its W-orbit
+        self.newton_orbits: dict[tuple, tuple] = {}
         # memo of sigma.classify: (Newton point, kappa) -> class
         self.classes: dict[tuple, object] = {}
         self.identity = self.intern((0,) * datum.d, 0)
@@ -63,7 +65,8 @@ class AffineWeyl:
             gens.append(self.intern((0,) * datum.d, self._reflection_index(ri)))
         self.gens = tuple(gens)
         for i, g in enumerate(self.gens):
-            assert self.length(g) == 1, f"affine generator s{i} must have length 1"
+            if self.length(g) != 1:
+                raise RuntimeError(f"affine generator s{i} must have length 1")
         self._omega: dict[frozenset, dict] = {}
 
     # -- interning ------------------------------------------------------------
@@ -109,12 +112,6 @@ class AffineWeyl:
             self._inv[got] = a
         return got
 
-    def mul_many(self, *xs) -> int:
-        out = self.identity
-        for x in xs:
-            out = self.mul(out, x)
-        return out
-
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}."""
         return self.mul(self.mul(g, x), self.inv(g))
@@ -131,9 +128,6 @@ class AffineWeyl:
         if root_idx >= npos:
             pos = not pos
         return datum.pairing(root_idx, lam) + (1 if pos else 0)
-
-    def k_profile(self, xid: int):
-        return tuple(self.k_alpha(i, xid) for i in range(len(self.datum.roots)))
 
     def length(self, xid: int) -> int:
         got = self._len.get(xid)
@@ -211,59 +205,41 @@ class AffineWeyl:
         return got
 
     def omega_element(self, p: SemistdParabolic, cls) -> int:
-        """The unique x in Omega_M with eta_M(x) = cls."""
+        """
+        The unique x in Omega_M with eta_M(x) = cls, a Lambda_M normal form.
+
+        Found by descent from the translation by a lift of cls.  While x.a
+        lies outside 0 < beta < 1 for some positive root beta of M, say
+        k = k(beta, x.a) != 1, left-multiply x by the reflection in the wall
+        {beta = j} with j = k - 1 if k > 1, else j = k.  That wall separates
+        a from x.a, so the M-length drops; the reflection lies in the affine
+        Weyl group of M, so eta_M is kept.  The descent ends at M-length 0.
+        """
         table = self.omega_of_levi(p)
         got = table.get(cls)
         if got is not None:
             return got
         datum = self.datum
-        W = datum.weyl
-        lam0 = self._reduce_mod_levi_coroots(p, p.lattice.lift(cls))
-        # search lam0 + (coroot lattice of M)-ball, all finite parts in W_M
-        coroots_m = [datum.coroots[i] for i in sorted(p.r_m) if i < datum.nposroots]
-        for radius in range(0, 6):
-            for shift in _ball(coroots_m, radius, datum.d):
-                lam = tuple(a + b for a, b in zip(lam0, shift))
-                for w in sorted(p.w_m):
-                    x = self.intern(lam, w)
-                    if self.length_levi(x, p) == 0 and p.eta_m(self.translation(x)) == cls:
-                        table[cls] = x
-                        return x
-        raise AssertionError("Omega_M element not found (search bound too small)")
-
-    def _reduce_mod_levi_coroots(self, p: SemistdParabolic, lam):
-        """Shift lam by Levi coroots so its Levi-simple-root pairings are small."""
-        datum = self.datum
-        simples = sorted(i for i in p.r_m
-                         if i < datum.nposroots and self._is_levi_simple(p, i))
-        if not simples:
-            return tuple(lam)
-        cartan = [[datum.pairing(si, datum.coroots[sj]) for sj in simples]
-                  for si in simples]
-        rhs = [datum.pairing(si, lam) for si in simples]
-        coeffs = solve_frac(cartan, rhs, len(simples))[0]
-        out = list(lam)
-        for c, sj in zip(coeffs, simples):
-            k = int(round(float(c)))
-            cr = datum.coroots[sj]
-            out = [a - k * b for a, b in zip(out, cr)]
-        return tuple(out)
-
-    def _is_levi_simple(self, p: SemistdParabolic, root_idx: int) -> bool:
-        """Is this positive root of M not a sum of two positive roots of M?"""
-        datum = self.datum
-        pos_m = [i for i in p.r_m if i < datum.nposroots]
-        target = datum.roots[root_idx]
-        for a in pos_m:
-            for b in pos_m:
-                if tuple(x + y for x, y in zip(datum.roots[a], datum.roots[b])) \
-                        == target:
-                    return False
-        return True
+        pos_m = sorted(i for i in p.r_m if i < datum.nposroots)
+        x = self.intern(p.lattice.lift(cls), 0)
+        moved = True
+        while moved:
+            moved = False
+            for i in pos_m:
+                k = self.k_alpha(i, x)
+                if k != 1:
+                    j = k - 1 if k > 1 else k
+                    refl = self.intern(tuple(j * v for v in datum.coroots[i]),
+                                       self._reflection_index(i))
+                    x = self.mul(refl, x)
+                    moved = True
+        if self.length_levi(x, p) != 0 or p.eta_m(self.translation(x)) != cls:
+            raise RuntimeError(f"Omega_M descent failed for class {cls}")
+        table[cls] = x
+        return x
 
     def omega_g_elements(self):
         """All of Omega_G for finite Lambda_G, as {eta_G value: element id}."""
-        from .roots import standard_parabolic
         p_full = standard_parabolic(self.datum, frozenset(self.datum.simple_idx))
         lam = self.datum.lambda_g
         if lam.order() is None:
@@ -370,7 +346,10 @@ class AffineWeyl:
                 out = self.mul(out, self.intern(lam, 0))
             elif tok.startswith("o[") and tok.endswith("]"):
                 cls = tuple(int(v) for v in tok[2:-1].split(","))
-                from .roots import standard_parabolic
+                lam_g = datum.lambda_g
+                if len(cls) != lam_g.d or lam_g.normal_form(lam_g.lift(cls)) != cls:
+                    raise ValueError(f"{tok} is not a Lambda_G normal form "
+                                     f"with {lam_g.d} coordinates")
                 p = standard_parabolic(datum, frozenset(datum.simple_idx))
                 out = self.mul(out, self.omega_element(p, cls))
             elif tok.startswith("tau"):
@@ -381,7 +360,6 @@ class AffineWeyl:
                 step = gen_cls if k >= 0 else lam_g.neg(gen_cls)
                 for _ in range(abs(k)):
                     cls = lam_g.add(cls, step)
-                from .roots import standard_parabolic
                 p = standard_parabolic(datum, frozenset(datum.simple_idx))
                 out = self.mul(out, self.omega_element(p, cls))
             elif tok.startswith("s"):
@@ -399,17 +377,6 @@ class AffineWeyl:
         if len(nz) != 1:
             raise ValueError("tau shorthand needs cyclic Lambda_G")
         return tuple(1 if i == nz[0] else 0 for i in range(lam.d))
-
-
-def _ball(basis, radius, d):
-    """All integer combinations of basis vectors with |coefficients| <= radius."""
-    def rec(i, acc):
-        if i == len(basis):
-            yield tuple(acc)
-            return
-        for c in range(-radius, radius + 1):
-            yield from rec(i + 1, [a + c * b for a, b in zip(acc, basis[i])])
-    yield from rec(0, [0] * d)
 
 
 def affine_context(datum: RootDatum) -> AffineWeyl:

@@ -172,25 +172,33 @@ class AdlvResult:
         }
 
 
+def newton_orbit(ctx: AffineWeyl, nu) -> tuple:
+    """The W-orbit of the Newton point nu, in canonical form; built once per nu."""
+    got = ctx.newton_orbits.get(nu)
+    if got is None:
+        datum = ctx.datum
+        W = datum.weyl
+        got = tuple(dict.fromkeys(datum.coweight_nf_frac(W.apply_frac(w, nu))
+                                  for w in W.elements()))
+        ctx.newton_orbits[nu] = got
+    return got
+
+
 def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass,
                      kappa_filter: bool):
     """
     The admissible eta_M-values for classes over M whose Newton point is
     W-conjugate to that of cls; with kappa_filter, only classes in the same
-    component of the full group are kept (the basic-case refinement).
+    component of the full group are kept (the basic-case refinement).  They
+    depend on P only through M, so parabolics with one Levi share an entry.
     """
-    key = (p.key(), cls.key(), kappa_filter)
+    key = (p.levi_key(), cls.key(), kappa_filter)
     got = ctx.levi_targets.get(key)
     if got is not None:
         return got
     datum = ctx.datum
-    W = datum.weyl
-    orbit = {}
-    for w in W.elements():
-        nu = datum.coweight_nf_frac(W.apply_frac(w, cls.newton))
-        orbit[nu] = None
     targets = set()
-    for nu in orbit:
+    for nu in newton_orbit(ctx, cls.newton):
         for lam in levi_classes_with_newton(datum, p.r_m, nu):
             if kappa_filter and datum.lambda_g.normal_form(lam) != cls.kappa:
                 continue
@@ -626,8 +634,8 @@ def minimal_coset_reps(datum, p: SemistdParabolic):
 
 def levi_affine_generators(ctx: AffineWeyl, p: SemistdParabolic):
     """
-    Elements of length one in the affine Weyl group of the Levi: affine
-    reflections s_{beta,k} for beta in R_M, with small k.
+    Elements of length one in the affine Weyl group of the Levi: the affine
+    reflections s_{beta,k} in the walls of the M-base alcove.
     """
     datum = ctx.datum
     gens = []
@@ -635,7 +643,8 @@ def levi_affine_generators(ctx: AffineWeyl, p: SemistdParabolic):
     for i in sorted(p.r_m):
         if i >= npos:
             continue
-        for k in range(-2, 4):
+        # a lies in 0 < beta < 1, so the M-base alcove has walls at k = 0, 1 only
+        for k in (0, 1):
             refl = ctx.intern(tuple(k * v for v in datum.coroots[i]),
                               ctx._reflection_index(i))
             if ctx.length_levi(refl, p) == 1 and refl not in gens:

@@ -558,10 +558,6 @@ class SemistdParabolic:
         self.lattice = datum.levi_lattice_quotient(self.r_m)
 
     @property
-    def is_standard(self):
-        return self.u == 0
-
-    @property
     def is_full(self):
         return len(self.levi_simple) == len(self.datum.simple_idx)
 

@@ -142,7 +142,9 @@ def classify(ctx: AffineWeyl, xid: int) -> SigmaConjClass:
     cands = levi_classes_with_newton(datum, p.r_m, nu)
     matches = {p.lattice.normal_form(lam) for lam in cands
                if datum.lambda_g.normal_form(lam) == kappa}
-    assert len(matches) == 1, (nu, kappa, matches)
+    if len(matches) != 1:
+        raise RuntimeError(f"expected one class over the home Levi for nu={nu}, "
+                           f"kappa={kappa}, found {len(matches)}")
     got = SigmaConjClass(nu, kappa, home, next(iter(matches)))
     ctx.classes[key] = got
     return got
@@ -260,7 +262,8 @@ def grassmannian_nonempty(ctx: AffineWeyl, mu, c: SigmaConjClass) -> bool:
     """
     datum = ctx.datum
     mu = tuple(mu)
-    assert datum.is_dominant(mu), "mu must be dominant"
+    if not datum.is_dominant(mu):
+        raise ValueError("mu must be dominant")
     if datum.lambda_g.normal_form(mu) != c.kappa:
         return False
     return slope_dominance_holds(datum, datum.coweight_nf_frac(mu), c.newton)
@@ -273,7 +276,8 @@ def grassmannian_dim_basic(ctx: AffineWeyl, mu, c: SigmaConjClass) -> Fraction:
         raise ValueError("dimension formula needs a basic class")
     val = pair_two_rho(datum, datum.coweight_nf_frac(mu)) / 2 \
         - Fraction(defect(ctx, c), 2)
-    assert (2 * val).denominator == 1
+    if (2 * val).denominator != 1:
+        raise RuntimeError(f"dimension {val} is not a half-integer")
     return val
 
 

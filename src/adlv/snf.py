@@ -222,9 +222,6 @@ class LatticeQuotient:
     def zero(self):
         return tuple(0 for _ in range(self.d))
 
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
-
     def window(self, spread: int):
         """
         Normal forms with every free coordinate in [-spread, spread] and every

@@ -3,7 +3,9 @@ from collections import deque
 
 import pytest
 
-from adlv.roots import build_root_datum, standard_parabolic
+from adlv.roots import (build_root_datum, semistandard_levis, semistandard_parabolics,
+                        standard_parabolic)
+from adlv.snf import solve_frac
 from adlv.affine import AffineWeyl, affine_context
 from conftest import ball_with_omega, wall_from_k_alpha
 
@@ -280,3 +282,113 @@ def test_step_table_wall_check_raises():
     ctx.k_alpha = lambda root_idx, xid: 10 ** 6
     with pytest.raises(RuntimeError, match="must cross the computed wall"):
         ctx.step_row(ctx.identity)
+
+
+# -- Omega_M: the descent against the ball search it replaced -----------------
+
+def _ball(basis, radius, d):
+    """All integer combinations of basis vectors with |coefficients| <= radius."""
+    def rec(i, acc):
+        if i == len(basis):
+            yield tuple(acc)
+            return
+        for c in range(-radius, radius + 1):
+            yield from rec(i + 1, [a + c * b for a, b in zip(acc, basis[i])])
+    yield from rec(0, [0] * d)
+
+
+def _reduce_mod_levi_coroots(datum, p, lam):
+    """Shift lam by Levi coroots so its Levi-simple-root pairings are small."""
+    pos_m = [i for i in p.r_m if i < datum.nposroots]
+    sums = {tuple(x + y for x, y in zip(datum.roots[a], datum.roots[b]))
+            for a in pos_m for b in pos_m}
+    simples = sorted(i for i in pos_m if datum.roots[i] not in sums)
+    if not simples:
+        return tuple(lam)
+    cartan = [[datum.pairing(si, datum.coroots[sj]) for sj in simples]
+              for si in simples]
+    rhs = [datum.pairing(si, lam) for si in simples]
+    coeffs = solve_frac(cartan, rhs, len(simples))[0]
+    out = list(lam)
+    for c, sj in zip(coeffs, simples):
+        k = int(round(float(c)))
+        out = [a - k * b for a, b in zip(out, datum.coroots[sj])]
+    return tuple(out)
+
+
+def search_omega_element(ctx, p, cls):
+    """
+    The length-zero x of W~_M with eta_M(x) = cls, by the ball search that
+    omega_element used before the descent: a coroot ball of M of radius < 6
+    around a reduced lift, against every finite part in W_M.
+    """
+    datum = ctx.datum
+    lam0 = _reduce_mod_levi_coroots(datum, p, p.lattice.lift(cls))
+    coroots_m = [datum.coroots[i] for i in sorted(p.r_m) if i < datum.nposroots]
+    for radius in range(0, 6):
+        for shift in _ball(coroots_m, radius, datum.d):
+            lam = tuple(a + b for a, b in zip(lam0, shift))
+            for w in sorted(p.w_m):
+                x = ctx.intern(lam, w)
+                if ctx.length_levi(x, p) == 0 and p.eta_m(ctx.translation(x)) == cls:
+                    return x
+    raise AssertionError("Omega_M element not found (search bound too small)")
+
+
+SMALL_DATA = [("A", 1, ""), ("A", 2, ""), ("A", 3, ""), ("B", 2, ""), ("B", 3, ""),
+              ("C", 2, ""), ("C", 3, ""), ("G", 2, ""), ("GL", 2, ""), ("GL", 3, "")]
+
+
+@pytest.mark.parametrize("spec", SMALL_DATA, ids=lambda s: s[0] + str(s[1]))
+def test_omega_descent_matches_search(spec):
+    # omega_element depends on P only through M (its table is keyed by the
+    # Levi), so one parabolic per Levi covers every semistandard parabolic
+    datum = build_root_datum(*spec)
+    ctx = AffineWeyl(datum)
+    for ps in semistandard_levis(datum).values():
+        p = ps[0]
+        for cls in p.lattice.window(1):
+            assert ctx.omega_element(p, cls) == search_omega_element(ctx, p, cls), \
+                (p, cls)
+
+
+@pytest.mark.parametrize("spec", [("A", 4, ""), ("D", 4, ""), ("GL", 4, ""),
+                                  ("GL", 5, "")], ids=lambda s: s[0] + str(s[1]))
+def test_omega_descent_invariants_rank_4(spec):
+    datum = build_root_datum(*spec)
+    ctx = AffineWeyl(datum)
+    for ps in semistandard_levis(datum).values():
+        p = ps[0]
+        for cls in p.lattice.window(1):
+            x = ctx.omega_element(p, cls)
+            assert ctx.length_levi(x, p) == 0
+            assert ctx.finite(x) in p.w_m
+            assert ctx.eta_levi(x, p) == cls
+
+
+def test_omega_descent_matches_search_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(SMALL_DATA), st.integers(0, 10 ** 6),
+               st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    def check(spec, pick, coords):
+        datum = build_root_datum(*spec)
+        ps = semistandard_parabolics(datum)
+        p = ps[pick % len(ps)]
+        cls = p.lattice.normal_form(coords[:datum.d])
+        ctx = AffineWeyl(datum)
+        assert ctx.omega_element(p, cls) == search_omega_element(ctx, p, cls)
+
+    check()
+
+
+def test_parse_rejects_bad_omega_token(c2_ctx):
+    ctx = c2_ctx
+    for tok in ("o[1]", "o[5,5]", "o[1,0]"):
+        with pytest.raises(ValueError, match="normal form"):
+            ctx.parse(tok)
+    x = ctx.parse("o[0,1]")
+    assert ctx.length(x) == 0 and ctx.omega_class(x) == (0, 1)
+    assert ctx.parse("tau") == x

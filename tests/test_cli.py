@@ -203,6 +203,7 @@ def test_usage_error_exit_code():
 
 
 A2 = ["--type", "A", "--rank", "2", "--variant", "SL"]
+C2 = ["--type", "C", "--rank", "2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -210,7 +211,11 @@ A2 = ["--type", "A", "--rank", "2", "--variant", "SL"]
     ["query", *A2, "--class-key", "trivial", "--x", "t[1,0]"],
     ["query", *A2, "--class-key", "nu=[1,0];kappa=[0]", "--x", "s1"],
     ["query", "--type", "Q", "--rank", "2", "--class-key", "trivial", "--x", "s1"],
-], ids=["bad-generator", "short-translation", "short-class-key", "bad-type"])
+    ["query", *C2, "--class-key", "trivial", "--x", "o[1]"],
+    ["query", *C2, "--class-key", "trivial", "--x", "o[5,5]"],
+    ["query", *C2, "--class-key", "trivial", "--x", "o[1,0]"],
+], ids=["bad-generator", "short-translation", "short-class-key", "bad-type",
+        "short-omega", "omega-not-normal-form", "omega-unit-modulus"])
 def test_bad_input_is_one_line_and_exit_1(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -10,8 +10,8 @@ from adlv.affine import affine_context
 from adlv.alcoves import is_p_alcove, is_shrunken
 from adlv.cli import parse_class_key, survey_elements
 from adlv.hecke import Hecke
-from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
-                        standard_parabolic)
+from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_levis,
+                        semistandard_parabolics, standard_parabolic)
 from conftest import ball_with_omega, wall_from_k_alpha
 
 
@@ -602,3 +602,62 @@ def test_fold_step_matches_reference(spec):
                 assert frontier == want
                 steps += 1
     assert steps > 100
+
+
+def _targets_from_scratch(datum, p, cls, kappa_filter):
+    # the Newton orbit and the Levi classes recomputed without any memo
+    W = datum.weyl
+    orbit = {datum.coweight_nf_frac(W.apply_frac(w, cls.newton)) for w in W.elements()}
+    out = set()
+    for nu in orbit:
+        for lam in sg.levi_classes_with_newton(datum, p.r_m, nu):
+            if not kappa_filter or datum.lambda_g.normal_form(lam) == cls.kappa:
+                out.add(p.lattice.normal_form(lam))
+    return out
+
+
+@pytest.mark.parametrize("spec,lam", [(("A", 2, "SL"), (1, 0, -1)),
+                                      (("C", 2, "adjoint"), (1, 0)),
+                                      (("G", 2, "adjoint"), (1, 0))])
+def test_levi_targets_shared_by_levi(spec, lam):
+    # the target memo is keyed by M: parabolics with one Levi share an entry,
+    # and it equals a fresh computation for each of them
+    from adlv.affine import AffineWeyl
+    datum = build_root_datum(*spec)
+    lam = lam + (0,) * (datum.d - len(lam))
+    ctx = AffineWeyl(datum)
+    classes = [sg.classify(ctx, ctx.identity),
+               sg.classify(ctx, ctx.from_translation(datum.dominant(lam)))]
+    shared = 0
+    for ps in semistandard_levis(datum).values():
+        for cls in classes:
+            for kf in (False, True):
+                first = eng.levi_eta_targets(ctx, ps[0], cls, kf)
+                for p in ps:
+                    assert eng.levi_eta_targets(ctx, p, cls, kf) is first
+                    assert first == _targets_from_scratch(datum, p, cls, kf)
+                shared += len(ps) > 1
+    assert shared
+
+
+def _levi_generators_wide_k(ctx, p):
+    # the generator list over the wider range k in [-2, 4) used before
+    datum = ctx.datum
+    gens = []
+    for i in sorted(p.r_m):
+        if i >= datum.nposroots:
+            continue
+        for k in range(-2, 4):
+            refl = ctx.intern(tuple(k * v for v in datum.coroots[i]),
+                              ctx._reflection_index(i))
+            if ctx.length_levi(refl, p) == 1 and refl not in gens:
+                gens.append(refl)
+    return gens
+
+
+@pytest.mark.parametrize("spec", [("C", 2, "adjoint"), ("G", 2, "adjoint"),
+                                  ("A", 3, "")])
+def test_levi_affine_generators_walls_at_0_and_1(spec):
+    ctx = affine_context(build_root_datum(*spec))
+    for p in semistandard_parabolics(ctx.datum):
+        assert eng.levi_affine_generators(ctx, p) == _levi_generators_wide_k(ctx, p)

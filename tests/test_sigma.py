@@ -188,6 +188,9 @@ def test_grassmannian_criterion(a2_ctx):
     mu = (1, 0, -1)
     c = sg.classify(ctx, ctx.from_translation(mu))
     assert sg.grassmannian_nonempty(ctx, mu, c)
+    # a non-dominant mu is an explicit error, which also holds under -O
+    with pytest.raises(ValueError, match="dominant"):
+        sg.grassmannian_nonempty(ctx, (-1, 0, 1), c)
     # SL2-like check inside A1
     d1 = build_root_datum("A", 1, "SL")
     c1x = affine_context(d1)
