@@ -57,6 +57,20 @@ class AffineWeyl:
         self.newton_orbits: dict[tuple, tuple] = {}
         # memo of sigma.classify: (Newton point, kappa) -> class
         self.classes: dict[tuple, object] = {}
+        # the longest sweep engine.sweep_elements has built per Omega set:
+        # frozenset of omegas -> (cutoff, sweep, lengths of its elements)
+        self.sweeps: dict[frozenset, tuple] = {}
+        # for central_class: the central cocharacters are none, or Z z for
+        # one z with a coordinate z[i] = +-1 (GL_n: z = (1,..,1)); kept as
+        # (z, i)
+        self._centre = None
+        cent = datum.central_cocharacters
+        if cent:
+            units = [i for i, v in enumerate(cent[0]) if abs(v) == 1]
+            if len(cent) > 1 or not units:
+                raise NotImplementedError("central cocharacters other than Z z "
+                                          "with a unit coordinate")
+            self._centre = (cent[0], units[0])
         self.identity = self.intern((0,) * datum.d, 0)
         # affine generators: index 0 = affine node, 1..r = finite simples
         gens = [self.intern(datum.coroots[datum.theta_idx],
@@ -178,6 +192,21 @@ class AffineWeyl:
         if tau is not None:
             out = self.mul(out, tau)
         return out
+
+    def central_class(self, xid: int):
+        """
+        A key that x shares with the x * t^z for z a central cocharacter,
+        and with no other element; x itself when the datum has none.  Such
+        t^z is central in W~, and <beta, z> = 0 for every root beta, so x
+        and x * t^z have one finite part and one k(beta, x^{-1}.a) per beta.
+        """
+        if self._centre is None:
+            return xid
+        z, i = self._centre
+        lam, w = self._elts[xid]
+        # the translate of x with coordinate i of its translation part 0
+        k = lam[i] * z[i]
+        return tuple(a - k * b for a, b in zip(lam, z)), w
 
     def omega_class(self, xid: int):
         """eta_G(x): the connected component of x in the loop group."""

@@ -114,7 +114,8 @@ def eta2(ctx: AffineWeyl, xid: int) -> int:
         moved = False
         for pos, ri in enumerate(datum.simple_idx):
             val = datum.pairing_frac(ri, pt)
-            assert val != 0, "alcove point on a chamber wall"
+            if val == 0:
+                raise RuntimeError("alcove point on a chamber wall")
             if val < 0:
                 cr = datum.coroots[ri]
                 pt = [x - val * c for x, c in zip(pt, cr)]
@@ -146,8 +147,8 @@ def minimal_levis(ctx: AffineWeyl, xid: int):
     levis = semistandard_levis(datum)
     containing = [(rm, ps) for rm, ps in levis.items() if w in ps[0].w_m]
     m_minus = min(containing, key=lambda t: (len(t[0]), sorted(t[0])))
-    for rm, _ in containing:
-        assert m_minus[0] <= rm, "smallest containing Levi must be unique"
+    if any(not m_minus[0] <= rm for rm, _ in containing):
+        raise RuntimeError("smallest containing Levi must be unique")
     candidates = []
     for rm, ps in containing:
         if not (m_minus[0] <= rm):
@@ -156,8 +157,8 @@ def minimal_levis(ctx: AffineWeyl, xid: int):
         if good:
             candidates.append((rm, good))
     best = min(candidates, key=lambda t: (len(t[0]), sorted(t[0])))
-    for rm, _ in candidates:
-        assert best[0] <= rm, "smallest P-alcove Levi must be unique"
+    if any(not best[0] <= rm for rm, _ in candidates):
+        raise RuntimeError("smallest P-alcove Levi must be unique")
     return m_minus[0], best[0], best[1]
 
 

@@ -140,7 +140,8 @@ def cmd_classes(args, out=sys.stdout):
     seen = set()
     for c in classes:
         pair = (c.newton, c.kappa)
-        assert pair not in seen, "duplicate (newton, kappa) pair"
+        if pair in seen:
+            raise RuntimeError(f"duplicate (newton, kappa) pair in class {c.key()}")
         seen.add(pair)
     rows = [class_row(ctx, c) for c in classes]
     if args.format == "json":
@@ -271,11 +272,9 @@ def _result_from_json(ctx, obj):
 
 def survey_elements(ctx, cls, max_len):
     """All x with ell <= max_len in the component of the class, sorted."""
-    ball = eng.affine_ball(ctx, max_len)
     om = eng.omega_window(ctx, cls, [sg.standard_representative(ctx, cls)])
-    xs = {ctx.mul(u, t) for u in ball for t in om}
-    xs = [x for x in xs if ctx.omega_class(x) == cls.kappa]
-    return sorted(xs, key=lambda z: (ctx.length(z), ctx.format(z)))
+    return [x for x in eng.sweep_elements(ctx, max_len, om)
+            if ctx.omega_class(x) == cls.kappa]
 
 
 _worker_state = {}

@@ -39,11 +39,21 @@ j >= m_J(beta) at those walls.  So the w of a sweep fall into wall patterns,
 the classes of w that pass the same tests, and all w of one pattern have the
 same dimension tables: survey_batch folds once per pattern and looks every
 w of the pattern up in the shared frontiers.
+
+Central translates.  A central cocharacter z, one orthogonal to every root
+(Z(1,..,1) for GL_n, none for the other supported data), gives a central
+element t^z of W~ with <beta, z> = 0 for every root beta.  So w and w * t^z
+have one finite part and one k(beta, w^{-1}.a) for every beta, hence one
+profile m_J and one wall pattern, and w^{-1} b w is the same element for
+both.  survey_batch computes the profile, the wall key and the lookup keys
+once per class of w modulo central translations (AffineWeyl.central_class),
+but still visits every w in sweep order, because eta_G(w * t^z) moves with z
+and the acceptance test, the positions and the witnesses are per w.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -338,15 +348,22 @@ def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
 
 
 def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
-    """All w = u * tau, ell(u) <= max_len, sorted by (length, text)."""
-    ball = affine_ball(ctx, max_len)
-    out = []
-    for u in ball:
-        for tau in omegas:
-            w = ctx.mul(u, tau)
-            out.append(w)
-    out = sorted(set(out), key=lambda w: (ctx.length(w), ctx.format(w)))
-    return out
+    """
+    All w = u * tau, ell(u) <= max_len, sorted by (length, text), as a new
+    list.  The sort puts length first and ell(u * tau) = ell(u), so the sweep
+    for a cutoff is a prefix of the sweep for any larger one over the same
+    Omega set: the context keeps the longest sweep built per Omega set and
+    cuts its prefix, and a larger cutoff rebuilds it.
+    """
+    key = frozenset(omegas)
+    kept = ctx.sweeps.get(key)
+    if kept is None or kept[0] < max_len:
+        ball = affine_ball(ctx, max_len)
+        ws = sorted({ctx.mul(u, tau) for u in ball for tau in key},
+                    key=lambda w: (ctx.length(w), ctx.format(w)))
+        kept = ctx.sweeps[key] = (max_len, ws, [ctx.length(w) for w in ws])
+    _, ws, lengths = kept
+    return ws[:bisect_right(lengths, max_len)]
 
 
 def class_data(ctx: AffineWeyl, cls: SigmaConjClass):
@@ -474,7 +491,8 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     group's first sweep position, and looks up every member of the group in
     those frontiers; between equal strata the lowest sweep position wins,
     which is the first w in sweep order.  Only one group's frontiers are
-    held at a time.
+    held at a time.  The profile, the wall key and the lookup keys of w are
+    computed once per central class of w (see the module docstring).
 
     With stop_at_first each x takes the first w of the sweep with a
     non-empty stratum, and the sweep ends once no later group can hold an
@@ -507,17 +525,20 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
             allowed[x] = frozenset(ctx.omega_class(t) for t in window)
     parents, need, order = prefix_tree(ctx, pending_words)
     walls = fold_walls(ctx, parents, order)
-    # wall key -> (profile of its first w, [(sweep position, w), ...]), in
-    # the order of first positions
+    # wall key -> (profile of its first w, [(sweep position, w, central
+    # class of w), ...]), in the order of first positions; the key is
+    # computed once per central class
     groups: dict[tuple, tuple] = {}
+    class_keys: dict = {}
     for pos, w in enumerate(sweep_elements(ctx, cutoff, omegas)):
-        profile = orientation_profile(ctx, p, w)
-        key = wall_key(walls, profile)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = (profile, [(pos, w)])
-        else:
-            group[1].append((pos, w))
+        c = ctx.central_class(w)
+        key = class_keys.get(c)
+        if key is None:
+            profile = orientation_profile(ctx, p, w)
+            key = class_keys[c] = wall_key(walls, profile)
+            if key not in groups:
+                groups[key] = (profile, [])
+        groups[key][1].append((pos, w, c))
     tau_invs = {tau: ctx.inv(tau) for xs in need.values() for _, tau in xs}
     # best[x] = (dim, sweep position, w) of the stratum kept so far
     best: dict[int, tuple | None] = dict.fromkeys(pending_words)
@@ -530,11 +551,16 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
         for u in order:
             par, gi = parents[u]
             frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
-        for pos, w in members:
+        # central class -> lookup keys; a class lies in one group
+        class_lookups: dict = {}
+        for pos, w, c in members:
             # x = word * tau meets btilde = w^{-1} b w where the word's
             # frontier holds btilde * tau^{-1}
-            btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
-            keys = {tau: ctx.mul(btilde, ti) for tau, ti in tau_invs.items()}
+            keys = class_lookups.get(c)
+            if keys is None:
+                btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
+                keys = class_lookups[c] = {tau: ctx.mul(btilde, ti)
+                                           for tau, ti in tau_invs.items()}
             wcls = None
             for u, xs in need.items():
                 frontier = frontiers[u]

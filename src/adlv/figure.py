@@ -29,7 +29,8 @@ def drawing_basis(datum):
             v[d - 1] -= 1
             bas.append(tuple(v))
     else:
-        assert d == 2, "rank-2 drawing only"
+        if d != 2:
+            raise ValueError("rank-2 drawing only")
         bas = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     gram = [[sum(datum.pairing_cov(datum.roots[k], bas[i])
                  * datum.pairing_cov(datum.roots[k], bas[i2])
@@ -85,7 +86,8 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
     Returns the SVG document as a string.
     """
     datum = ctx.datum
-    assert datum.weyl.rank == 2, "figures are rank-2 only"
+    if datum.weyl.rank != 2:
+        raise ValueError("figures are rank-2 only")
     bas, gram = drawing_basis(datum)
     E = embed(gram)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .snf import LatticeQuotient, solve_frac
+from .snf import LatticeQuotient, integer_kernel, solve_frac
 
 WEYL_ORDERS = {"A": lambda n: _fact(n + 1), "B": lambda n: 2 ** n * _fact(n),
                "C": lambda n: 2 ** n * _fact(n), "D": lambda n: 2 ** (n - 1) * _fact(n),
@@ -205,9 +205,17 @@ class RootDatum:
                               self.simple_idx, self.coweight_nf)
         expected = WEYL_ORDERS[("A" if ctype == "GL" else ctype)](
             rank - 1 if ctype == "GL" else rank)
-        assert self.weyl.n == expected, (self.spec, self.weyl.n, expected)
+        if self.weyl.n != expected:
+            raise RuntimeError(f"{self.spec}: Weyl group of order {self.weyl.n}, "
+                               f"expected {expected}")
         self.two_rho = tuple(sum(self.roots[i][j] for i in range(self.nposroots))
                              for j in range(self.d))
+        # a basis of the central cocharacters, those orthogonal to every
+        # root: Z(1,..,1) for GL_n and none for the other data (in the type A
+        # lattice Z^n / Z(1,..,1) the diagonal is zero)
+        simple_cols = [[self.roots[i][j] for i in self.simple_idx] for j in range(self.d)]
+        self.central_cocharacters = tuple(
+            tuple(v) for v in integer_kernel(simple_cols) if any(self.coweight_nf(v)))
         self._lambda_cache: dict[frozenset, LatticeQuotient] = {}
         self.lambda_g = self.levi_lattice_quotient(frozenset(range(len(self.roots))))
         # coordinates of the positive roots in the basis of simple roots
@@ -306,18 +314,23 @@ class RootDatum:
                   "G": lambda n: 12}
         ct = "A" if self.spec.ctype == "GL" else self.spec.ctype
         rk = self.spec.rank - 1 if self.spec.ctype == "GL" else self.spec.rank
-        assert len(self.roots) == counts[ct](rk), (self.spec, len(self.roots))
-        for i, (r, c) in enumerate(zip(self.roots, self.coroots)):
-            assert self.pairing(i, c) == 2, "pairing <alpha, alpha^vee> must be 2"
+        if len(self.roots) != counts[ct](rk):
+            raise RuntimeError(f"{self.spec}: {len(self.roots)} roots, "
+                               f"expected {counts[ct](rk)}")
+        for i, c in enumerate(self.coroots):
+            if self.pairing(i, c) != 2:
+                raise RuntimeError("pairing <alpha, alpha^vee> must be 2")
         # 2rho pairs evenly with coroots (rho integral on coroots)
         for c in self.coroots:
-            assert sum(self.two_rho[j] * c[j] for j in range(self.d)) % 2 == 0
+            if sum(self.two_rho[j] * c[j] for j in range(self.d)) % 2:
+                raise RuntimeError("<2rho, alpha^vee> must be even")
         p = self.base_point()
         for i in range(len(self.roots)):
             v = self.pairing_frac(i, p)
-            assert v.denominator != 1, "base point must be generic"
-            if i < self.nposroots:
-                assert 0 < v < 1, "base point must lie in the base alcove"
+            if v.denominator == 1:
+                raise RuntimeError("base point must be generic")
+            if i < self.nposroots and not 0 < v < 1:
+                raise RuntimeError("base point must lie in the base alcove")
 
     # -- basic operations ----------------------------------------------------
 

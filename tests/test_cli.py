@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -245,3 +246,16 @@ def test_solve_cache_key_unchanged():
     cls = classify(ctx, ctx.identity)
     assert cli._solve_key(ctx, cls, ctx.parse("s0*s1"), 7) == \
         "569e8f8cadb9a72b67b4506f3a7fdc42c1b1faf55fce559d9f2685a42578d2e6"
+
+
+def test_library_has_no_assert():
+    # python -O strips assert statements, so the library's checks raise
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

@@ -10,8 +10,9 @@ from adlv.affine import affine_context
 from adlv.alcoves import is_p_alcove, is_shrunken
 from adlv.cli import parse_class_key, survey_elements
 from adlv.hecke import Hecke
-from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_levis,
-                        semistandard_parabolics, standard_parabolic)
+from adlv.roots import (RootDatum, SemistdParabolic, build_root_datum,
+                        semistandard_levis, semistandard_parabolics,
+                        standard_parabolic)
 from conftest import ball_with_omega, wall_from_k_alpha
 
 
@@ -276,14 +277,18 @@ def test_predictors_agree_on_shrunken_alcoves(c2_ctx):
 def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
     """
     The per-w solver the sweep kernel replaced, kept as an independent route:
-    one orbit_dim_table and dim_stratum per w, no prefix sharing.  Returns
+    its own sweep (not the one the context keeps), one orbit_dim_table and
+    dim_stratum per w, no prefix sharing and no central classes.  Returns
     (status, dim, witness).
     """
     if eng.emptiness_certificate(ctx, x, cls) is not None:
         return "empty-certified", None, None
     b, p, _corr = eng.class_data(ctx, cls)
+    omegas = eng.omega_window(ctx, cls, [x, b])
+    sweep = sorted({ctx.mul(u, t) for u in eng.affine_ball(ctx, cutoff) for t in omegas},
+                   key=lambda w: (ctx.length(w), ctx.format(w)))
     best = best_w = None
-    for w in eng.sweep_elements(ctx, cutoff, eng.omega_window(ctx, cls, [x, b])):
+    for w in sweep:
         table = eng.orbit_dim_table(ctx, x, p, w, "periodic")
         if ctx.mul(ctx.mul(ctx.inv(w), b), w) not in table:
             continue
@@ -301,27 +306,87 @@ def outcome(res):
     return res.status, res.dim, res.witness_w
 
 
-def test_survey_matches_single_solve(c2_ctx):
-    ctx = c2_ctx
-    cls = sg.classify(ctx, ctx.identity)
-    xs = ball_with_omega(ctx, 5)
-    batch = eng.survey_batch(ctx, cls, xs, cutoff=7)
-    for x in xs:
-        want = reference_solve(ctx, x, cls, 7)
-        assert outcome(batch[x]) == want
-        assert outcome(eng.solve(ctx, x, cls, cutoff=7)) == want
-    # GL3 (infinite Lambda_G) with a non-basic class: each x keeps the
-    # Omega-window solve gives it, whatever else is in the batch
-    gl3 = affine_context(build_root_datum("GL", 3))
-    cls = parse_class_key(gl3, "nu=[1,0,0];kappa=[0,0,1]")
-    assert not sg.is_basic(gl3.datum, cls)
-    xs = survey_elements(gl3, cls, 4)
-    batch = eng.survey_batch(gl3, cls, xs, cutoff=8)
-    assert any(r.nonempty for r in batch.values())
-    for x in xs:
-        want = reference_solve(gl3, x, cls, 8)
-        assert outcome(batch[x]) == want
-        assert outcome(eng.solve(gl3, x, cls, cutoff=8)) == want
+def _wide_window_gl3_elements(ctx, cls):
+    # x of GL3 in the trivial component with |translation(x)| 3 or 4, whose
+    # Omega-windows (spread |translation(x)| + 2) hold 11 to 13 elements
+    xs = [x for x in survey_elements(ctx, cls, 10)
+          if 3 <= max(map(abs, ctx.translation(x))) <= 4]
+    wide = [x for x in xs if max(map(abs, ctx.translation(x))) == 4]
+    assert wide
+    return wide + random.Random(5).sample([x for x in xs if x not in wide], 4)
+
+
+def test_survey_matches_single_solve(c2_ctx, gl2_ctx, gl3_ctx):
+    gl3_nonbasic = parse_class_key(gl3_ctx, "nu=[1,0,0];kappa=[0,0,1]")
+    assert not sg.is_basic(gl3_ctx.datum, gl3_nonbasic)
+    gl3_trivial = parse_class_key(gl3_ctx, "trivial")
+    gl2_trivial = parse_class_key(gl2_ctx, "trivial")
+    cases = [
+        (c2_ctx, sg.classify(c2_ctx, c2_ctx.identity), ball_with_omega(c2_ctx, 5), 7),
+        # infinite Lambda_G: each x keeps the Omega-window solve gives it,
+        # whatever else is in the batch, and the windows hold central
+        # translates w * t[k,..,k] that share their work with w
+        (gl2_ctx, gl2_trivial, survey_elements(gl2_ctx, gl2_trivial, 6), 8),
+        (gl3_ctx, gl3_nonbasic, survey_elements(gl3_ctx, gl3_nonbasic, 4), 8),
+        (gl3_ctx, gl3_trivial, _wide_window_gl3_elements(gl3_ctx, gl3_trivial), 8),
+    ]
+    for ctx, cls, xs, cutoff in cases:
+        batch = eng.survey_batch(ctx, cls, xs, cutoff)
+        assert any(r.nonempty for r in batch.values())
+        for x in xs:
+            want = reference_solve(ctx, x, cls, cutoff)
+            assert outcome(batch[x]) == want, ctx.format(x)
+            assert outcome(eng.solve(ctx, x, cls, cutoff=cutoff)) == want
+
+
+def test_sweep_elements_kept_prefix():
+    # the kept sweep, cut, rebuilt and cut again, equals a fresh build
+    ctx = affine_context(RootDatum("C", 2, "adjoint"))
+    omega_sets = [list(ctx.omega_g_elements().values()), [ctx.identity]]
+    for cutoff in (8, 12, 6, 12):
+        for omegas in omega_sets:
+            fresh = affine_context(RootDatum("C", 2, "adjoint"))
+            fresh_omegas = [fresh.parse(ctx.format(t)) for t in omegas]
+            got = eng.sweep_elements(ctx, cutoff, omegas)
+            want = eng.sweep_elements(fresh, cutoff, fresh_omegas)
+            assert [ctx.format(w) for w in got] == [fresh.format(w) for w in want]
+            assert max(ctx.length(w) for w in got) == cutoff
+            got.clear()  # a caller owns its copy
+    assert len(ctx.sweeps) == 2
+    assert all(kept[0] == 12 for kept in ctx.sweeps.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_central_translates_share_profile_and_btilde(n):
+    ctx = affine_context(build_root_datum("GL", n))
+    datum = ctx.datum
+    assert datum.central_cocharacters == ((1,) * n,)
+    z = ctx.from_translation((1,) * n)
+    rng = random.Random(n)
+    ball = sorted(eng.affine_ball(ctx, 6))
+    ws = rng.sample(ball, min(20, len(ball)))
+    ws = [ctx.mul(w, ctx.parse(f"tau^{rng.randrange(-3, 4)}")) for w in ws]
+    bs = rng.sample(ws, 5)
+    for r in range(len(datum.simple_idx) + 1):
+        for J in itertools.combinations(datum.simple_idx, r):
+            p = standard_parabolic(datum, frozenset(J))
+            for w in ws:
+                for k in (1, -2):
+                    wz = ctx.mul(w, ctx.from_translation((k,) * n))
+                    assert ctx.central_class(wz) == ctx.central_class(w)
+                    assert eng.orientation_profile(ctx, p, wz) == \
+                        eng.orientation_profile(ctx, p, w)
+    # and central_class tells apart the w that are not central translates
+    for w, v in itertools.combinations(ws, 2):
+        diff = [a - c for a, c in zip(ctx.translation(w), ctx.translation(v))]
+        translate = ctx.finite(w) == ctx.finite(v) and len(set(diff)) == 1
+        assert (ctx.central_class(w) == ctx.central_class(v)) == translate
+    for w in ws:
+        wz = ctx.mul(w, z)
+        assert ctx.omega_class(wz) != ctx.omega_class(w)
+        for b in bs:
+            assert ctx.mul(ctx.mul(ctx.inv(wz), b), wz) == \
+                ctx.mul(ctx.mul(ctx.inv(w), b), w)
 
 
 def test_survey_stop_at_first_statuses(a2_ctx, c2_ctx, gl3_ctx):
@@ -383,7 +448,6 @@ def test_p_alcove_parabolics_is_the_filtered_list(c2_ctx, gl3_ctx):
 
 
 def test_memo_tables_live_on_their_objects():
-    from adlv.roots import RootDatum
     d1 = RootDatum("C", 2, "adjoint")
     d2 = RootDatum("C", 2, "adjoint")
     c1, c2 = affine_context(d1), affine_context(d2)

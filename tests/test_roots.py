@@ -38,13 +38,19 @@ def test_unsupported_type_rejected():
     (("A", 1, "SL"), 2), (("A", 2, "SL"), 6), (("A", 3, "SL"), 24),
     (("B", 2, "sc"), 8), (("B", 3, "sc"), 48), (("C", 2, "sc"), 8),
     (("C", 3, "sc"), 48), (("D", 4, "sc"), 192), (("G", 2, "sc"), 12),
-    (("GL", 4, ""), 24),
+    (("GL", 4, ""), 24), (("GL", 2, ""), 2), (("A", 2, "coroot"), 6),
 ])
 def test_weyl_orders_and_pairings(spec, worder):
     d = build_root_datum(*spec)
     assert d.weyl.n == worder
     for i in range(len(d.roots)):
         assert d.pairing(i, d.coroots[i]) == 2
+    # the central cocharacters: the diagonal for GL_n, and none otherwise
+    # (in the type A lattice Z^n / Z(1,..,1) the diagonal is zero)
+    want = (((1,) * d.d,) if spec[0] == "GL" else ())
+    assert d.central_cocharacters == want
+    for z in d.central_cocharacters:
+        assert all(d.pairing(i, z) == 0 for i in range(len(d.roots)))
     # reflections preserve the root set: the closure construction guarantees
     # membership, re-check through the Weyl action tables
     for w in d.weyl.elements():
