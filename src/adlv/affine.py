@@ -27,6 +27,8 @@ by a length-zero element.
 
 from __future__ import annotations
 
+import operator
+
 from .roots import RootDatum, SemistdParabolic, standard_parabolic
 
 
@@ -57,9 +59,10 @@ class AffineWeyl:
         self.newton_orbits: dict[tuple, tuple] = {}
         # memo of sigma.classify: (Newton point, kappa) -> class
         self.classes: dict[tuple, object] = {}
-        # the longest sweep engine.sweep_elements has built per Omega set:
-        # frozenset of omegas -> (cutoff, sweep, lengths of its elements)
-        self.sweeps: dict[frozenset, tuple] = {}
+        # the one sweep engine.sweep_elements keeps, over the union of the
+        # Omega sets and the largest cutoff asked so far: None, or (cutoff,
+        # frozenset of omegas, sweep, lengths of its elements, tau of each)
+        self.sweep: tuple | None = None
         # for central_class: the central cocharacters are none, or Z z for
         # one z with a coordinate z[i] = +-1 (GL_n: z = (1,..,1)); kept as
         # (z, i)
@@ -112,8 +115,7 @@ class AffineWeyl:
         la, wa = self._elts[a]
         lb, wb = self._elts[b]
         W = self.datum.weyl
-        lw = W.apply(wa, lb)
-        return self.intern(tuple(x + y for x, y in zip(la, lw)), W.mul(wa, wb))
+        return self.intern(tuple(map(operator.add, la, W.apply(wa, lb))), W.mul(wa, wb))
 
     def inv(self, a: int) -> int:
         got = self._inv.get(a)
@@ -127,8 +129,16 @@ class AffineWeyl:
         return got
 
     def conj(self, g: int, x: int) -> int:
-        """g x g^{-1}."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        """
+        g x g^{-1}, in closed form: for g = (lam, u) and x = (mu, v) it is
+        (lam + u mu - c lam, c) with c = u v u^{-1}.
+        """
+        lam, u = self._elts[g]
+        mu, v = self._elts[x]
+        W = self.datum.weyl
+        c = W.mul(W.mul(u, v), W.inv[u])
+        return self.intern(tuple(a + b - e for a, b, e in
+                                 zip(lam, W.apply(u, mu), W.apply(c, lam))), c)
 
     # -- alcove coordinates ----------------------------------------------------
 

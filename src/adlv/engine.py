@@ -15,7 +15,10 @@ J, which reduces to integer comparisons against the profile
 
     m_J(beta) = -inf               if w beta lies in R_N,
               = +inf               if w beta lies in -R_N,
-              = k(beta, w^{-1}.a)  if w beta lies in R_M.
+              = k(beta, w^{-1}.a)  if w beta lies in R_M,
+
+for the positive roots beta: every wall {beta = j} is named by a positive
+beta, so the folds read no other entry.
 
 For P = G these tables coincide with q-degrees of Hecke structure constants,
 and that identity is both the calibration that fixes the folding convention
@@ -78,22 +81,23 @@ def conj_parabolic(p: SemistdParabolic, v: int) -> SemistdParabolic:
 
 def orientation_profile(ctx: AffineWeyl, p: SemistdParabolic, wid: int):
     """
-    m_J over all roots for J = w^{-1} (I_M N) w: list indexed by root index,
-    entries in Z or +-INF.
+    m_J over the positive roots for J = w^{-1} (I_M N) w: list indexed by
+    positive root index, entries in Z or +-INF.  The folds and wall keys
+    read no other entry.  For w = (lam, v) the inverse is (-v^{-1} lam,
+    v^{-1}), so k(beta, w^{-1}.a) = -<v beta, lam> + [v beta > 0].
     """
     datum = ctx.datum
-    W = datum.weyl
-    winv = ctx.inv(wid)
-    wfin = ctx.finite(wid)
-    out = [0] * len(datum.roots)
-    for i in range(len(datum.roots)):
-        img = W.root_act[wfin][i]
-        if img in p.r_n:
-            out[i] = -INF
-        elif img in p.r_nbar:
-            out[i] = INF
+    npos = datum.nposroots
+    lam = ctx.translation(wid)
+    r_n, r_nbar = p.r_n, p.r_nbar
+    out = []
+    for img in datum.weyl.root_act[ctx.finite(wid)][:npos]:
+        if img in r_n:
+            out.append(-INF)
+        elif img in r_nbar:
+            out.append(INF)
         else:
-            out[i] = ctx.k_alpha(i, winv)
+            out.append((img < npos) - datum.pairing(img, lam))
     return out
 
 
@@ -349,21 +353,32 @@ def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
 
 def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
     """
-    All w = u * tau, ell(u) <= max_len, sorted by (length, text), as a new
-    list.  The sort puts length first and ell(u * tau) = ell(u), so the sweep
-    for a cutoff is a prefix of the sweep for any larger one over the same
-    Omega set: the context keeps the longest sweep built per Omega set and
-    cuts its prefix, and a larger cutoff rebuilds it.
+    All w = u * tau, ell(u) <= max_len, tau in omegas, sorted by (length,
+    text), as a new list.  The sort puts length first and ell(u * tau) =
+    ell(u), so the sweep for a cutoff is a prefix of the sweep for any
+    larger one, and the sweep over a subset of the Omega set is the
+    subsequence of the w whose tau lies in it (tau is determined by w).  So
+    the context keeps one sweep, over the union of the Omega sets and the
+    largest cutoff asked so far, with each w's tau beside it, and cuts a
+    prefix, filtered by tau when omegas is a proper subset; a larger cutoff
+    or a new omega rebuilds it.
     """
     key = frozenset(omegas)
-    kept = ctx.sweeps.get(key)
-    if kept is None or kept[0] < max_len:
-        ball = affine_ball(ctx, max_len)
-        ws = sorted({ctx.mul(u, tau) for u in ball for tau in key},
-                    key=lambda w: (ctx.length(w), ctx.format(w)))
-        kept = ctx.sweeps[key] = (max_len, ws, [ctx.length(w) for w in ws])
-    _, ws, lengths = kept
-    return ws[:bisect_right(lengths, max_len)]
+    kept = ctx.sweep
+    if kept is None or kept[0] < max_len or not key <= kept[1]:
+        cutoff, union = max_len, key
+        if kept is not None:
+            cutoff, union = max(max_len, kept[0]), key | kept[1]
+        ball = affine_ball(ctx, cutoff)
+        tau_of = {ctx.mul(u, tau): tau for u in ball for tau in union}
+        ws = sorted(tau_of, key=lambda w: (ctx.length(w), ctx.format(w)))
+        kept = ctx.sweep = (cutoff, union, ws, [ctx.length(w) for w in ws],
+                            [tau_of[w] for w in ws])
+    _, union, ws, lengths, taus = kept
+    end = bisect_right(lengths, max_len)
+    if key == union:
+        return ws[:end]
+    return [w for w, tau in zip(ws[:end], taus) if tau in key]
 
 
 def class_data(ctx: AffineWeyl, cls: SigmaConjClass):
@@ -401,7 +416,7 @@ def dim_stratum(ctx: AffineWeyl, xid: int, cls: SigmaConjClass, wid: int,
     b, p, corr2 = class_data(ctx, cls)
     if table is None:
         table = orbit_dim_table(ctx, xid, p, wid, "periodic")
-    got = table.get(ctx.mul(ctx.mul(ctx.inv(wid), b), wid))
+    got = table.get(ctx.conj(ctx.inv(wid), b))
     return None if got is None else stratum_value(got, corr2)
 
 
@@ -558,9 +573,10 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
             # frontier holds btilde * tau^{-1}
             keys = class_lookups.get(c)
             if keys is None:
-                btilde = ctx.mul(ctx.mul(ctx.inv(w), b), w)
-                keys = class_lookups[c] = {tau: ctx.mul(btilde, ti)
-                                           for tau, ti in tau_invs.items()}
+                btilde = ctx.conj(ctx.inv(w), b)
+                keys = class_lookups[c] = {
+                    tau: btilde if tau == ctx.identity else ctx.mul(btilde, ti)
+                    for tau, ti in tau_invs.items()}
             wcls = None
             for u, xs in need.items():
                 frontier = frontiers[u]

@@ -25,6 +25,7 @@ fundamental group, is available as variant ``coroot``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,8 +144,8 @@ class WeylGroup:
                      for c in coroots)
 
     def apply(self, w: int, vec):
-        m = self.mats[w]
-        return tuple(sum(m[a][b] * vec[b] for b in range(self.d)) for a in range(self.d))
+        mul = operator.mul
+        return tuple(sum(map(mul, row, vec)) for row in self.mats[w])
 
     def apply_frac(self, w: int, vec):
         m = self.mats[w]
@@ -351,8 +352,7 @@ class RootDatum:
         return tuple(Fraction(x) - s / n for x in vec)
 
     def pairing(self, root_idx: int, vec) -> int:
-        r = self.roots[root_idx]
-        return sum(r[j] * vec[j] for j in range(self.d))
+        return sum(map(operator.mul, self.roots[root_idx], vec))
 
     def pairing_frac(self, root_idx: int, vec) -> Fraction:
         r = self.roots[root_idx]

@@ -29,6 +29,41 @@ def test_group_axioms(a2_ctx):
                 assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
 
 
+def _apply_by_matrix(W, w, vec):
+    # the matrix-vector product, entry by entry: the reference for W.apply
+    m = W.mats[w]
+    return tuple(sum(m[a][b] * vec[b] for b in range(W.d)) for a in range(W.d))
+
+
+AXIOM_DATA = [("A", 2, "SL"), ("C", 2, ""), ("G", 2, ""), ("GL", 3, ""), ("B", 3, "")]
+
+
+def test_group_axioms_property():
+    # associativity, inverses and the identity on random elements (lam, w)
+    # of each datum; the closed-form conj against the product, and the
+    # Weyl action against the matrix product
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    elt = st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                    st.integers(0, 10 ** 6))
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(AXIOM_DATA), elt, elt, elt)
+    def check(spec, a, b, c):
+        ctx = affine_context(build_root_datum(*spec))
+        W = ctx.datum.weyl
+        parts = [(tuple(lam[:W.d]), w % W.n) for lam, w in (a, b, c)]
+        x, y, z = (ctx.intern(lam, w) for lam, w in parts)
+        assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
+        assert ctx.mul(x, ctx.inv(x)) == ctx.identity == ctx.mul(ctx.inv(x), x)
+        assert ctx.mul(x, ctx.identity) == x == ctx.mul(ctx.identity, x)
+        assert ctx.conj(x, y) == ctx.mul(ctx.mul(x, y), ctx.inv(x))
+        for lam, w in parts:
+            assert W.apply(w, lam) == _apply_by_matrix(W, w, lam)
+
+    check()
+
+
 def test_translations_commute(a2_ctx):
     ctx = a2_ctx
     a = ctx.from_translation((1, 0, -1))

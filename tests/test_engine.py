@@ -339,21 +339,78 @@ def test_survey_matches_single_solve(c2_ctx, gl2_ctx, gl3_ctx):
             assert outcome(eng.solve(ctx, x, cls, cutoff=cutoff)) == want
 
 
+def _reference_sweep(ctx, cutoff, omegas):
+    ball = eng.affine_ball(ctx, cutoff)
+    return sorted({ctx.mul(u, tau) for u in ball for tau in omegas},
+                  key=lambda w: (ctx.length(w), ctx.format(w)))
+
+
 def test_sweep_elements_kept_prefix():
-    # the kept sweep, cut, rebuilt and cut again, equals a fresh build
+    # the context keeps one sweep, over the union of the Omega sets and the
+    # largest cutoff asked; every cut, filtered by tau for a proper subset,
+    # equals an independent build
     ctx = affine_context(RootDatum("C", 2, "adjoint"))
-    omega_sets = [list(ctx.omega_g_elements().values()), [ctx.identity]]
+    omega_g = list(ctx.omega_g_elements().values())
     for cutoff in (8, 12, 6, 12):
-        for omegas in omega_sets:
-            fresh = affine_context(RootDatum("C", 2, "adjoint"))
-            fresh_omegas = [fresh.parse(ctx.format(t)) for t in omegas]
+        for omegas in (omega_g, [ctx.identity]):
             got = eng.sweep_elements(ctx, cutoff, omegas)
-            want = eng.sweep_elements(fresh, cutoff, fresh_omegas)
-            assert [ctx.format(w) for w in got] == [fresh.format(w) for w in want]
+            assert got == _reference_sweep(ctx, cutoff, omegas)
             assert max(ctx.length(w) for w in got) == cutoff
             got.clear()  # a caller owns its copy
-    assert len(ctx.sweeps) == 2
-    assert all(kept[0] == 12 for kept in ctx.sweeps.values())
+    assert ctx.sweep[:2] == (12, frozenset(omega_g))
+    # GL3: nested Omega windows, a smaller one cut from the kept sweep
+    # without a rebuild, a larger one growing it
+    ctx = affine_context(RootDatum("GL", 3, ""))
+    p_full = full_parabolic(ctx.datum)
+
+    def window(spread):
+        return [ctx.omega_element(p_full, nf)
+                for nf in ctx.datum.lambda_g.window(spread)]
+
+    largest, union = 0, set()
+    for spread, cutoff in ((4, 6), (2, 4), (6, 5), (3, 7)):
+        before = ctx.sweep
+        omegas = window(spread)
+        got = eng.sweep_elements(ctx, cutoff, omegas)
+        assert got == _reference_sweep(ctx, cutoff, omegas)
+        assert (ctx.sweep is before) == (before is not None and cutoff <= before[0]
+                                         and set(omegas) <= before[1])
+        largest = max(largest, cutoff)
+        union.update(omegas)
+        assert ctx.sweep[:2] == (largest, frozenset(union))
+    assert ctx.sweep[:2] == (7, frozenset(window(6)))
+
+
+def _profile_all_roots(ctx, p, w):
+    # m_J over all roots, one k_alpha per root: the reference formula
+    W = ctx.datum.weyl
+    winv = ctx.inv(w)
+    out = []
+    for i in range(len(ctx.datum.roots)):
+        img = W.root_act[ctx.finite(w)][i]
+        if img in p.r_n:
+            out.append(-eng.INF)
+        elif img in p.r_nbar:
+            out.append(eng.INF)
+        else:
+            out.append(ctx.k_alpha(i, winv))
+    return out
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"),
+                                  ("G", 2, "adjoint"), ("GL", 3, "")])
+def test_orientation_profile_matches_all_roots_formula(spec):
+    ctx = affine_context(build_root_datum(*spec))
+    npos = ctx.datum.nposroots
+    ws = ball_with_omega(ctx, 3)
+    if ctx.datum.lambda_g.order() is None:
+        ws = [ctx.mul(w, ctx.parse(f"tau^{k}")) for w in ws for k in (-2, 0, 1, 3)]
+    # every component of the ball: all of Omega_G, or four tau^k for GL3
+    assert len({ctx.omega_class(w) for w in ws}) == (ctx.datum.lambda_g.order() or 4)
+    for p in semistandard_parabolics(ctx.datum):
+        for w in ws:
+            assert eng.orientation_profile(ctx, p, w) == \
+                _profile_all_roots(ctx, p, w)[:npos]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
