@@ -57,7 +57,8 @@ class AffineWeyl:
         self.levi_targets: dict[tuple, set] = {}
         # memo of engine.newton_orbit: Newton point -> its W-orbit
         self.newton_orbits: dict[tuple, tuple] = {}
-        # memo of sigma.classify: (Newton point, kappa) -> class
+        # memo of the classes of sigma.classify and sigma.class_from_invariants:
+        # (Newton point, kappa) -> class
         self.classes: dict[tuple, object] = {}
         # the one sweep engine.sweep_elements keeps, over the union of the
         # Omega sets and the largest cutoff asked so far: None, or (cutoff,
@@ -190,7 +191,7 @@ class AffineWeyl:
                     cur, n = nxt, ln
                     break
             else:
-                raise AssertionError("no descent found")
+                raise RuntimeError("no descent found")
         got = (tuple(word), cur)
         self._word[xid] = got
         return got

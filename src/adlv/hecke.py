@@ -157,7 +157,7 @@ class Hecke:
                     cur, n = nxt, ln
                     break
             else:
-                raise AssertionError("no descent in Levi context")
+                raise RuntimeError("no descent in Levi context")
         return tuple(word), cur
 
     def mul(self, h1: dict, h2: dict) -> dict:

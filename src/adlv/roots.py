@@ -462,7 +462,7 @@ class RootDatum:
             if tuple(self.coweight_nf(W.apply(w, c)) for c in self.coroots) == want:
                 got[root_idx] = w
                 return w
-        raise AssertionError("reflection not found")
+        raise RuntimeError("reflection not found")
 
     def reflection_subgroup(self, root_idxs) -> frozenset:
         """The subgroup of W generated by the reflections in the given roots."""

@@ -14,18 +14,26 @@ eta_M(x) equal to the class's Lambda_M-datum.  Fundamental representatives
 are finite-Weyl conjugates of these that are fundamental P'-alcoves; one
 always exists and makes the double coset IxI lie in a single class, which is
 what drives the superset method.
+
+The classes over a Levi M with a given Newton point nu are found exactly:
+they live over the centralizer M_1 of nu in M and form one coset of the
+torsion subgroup of Lambda_{M_1} (levi_classes_with_newton), so one integer
+solution of the averaging equation gives them all, and the shifts along a
+central line are derived, not searched.  classify and class_from_invariants
+build a class through one constructor, memoized on the context by
+(nu, kappa).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import AffineWeyl
+from .affine import AffineWeyl, affine_context
 from .alcoves import is_fundamental_p_alcove, newton_vector, pair_two_rho
 from .roots import RootDatum, semistandard_parabolics, standard_parabolic
-from .snf import integer_kernel, solve_frac, solve_integer
+from .snf import solve_frac, solve_integer
 
 
 @dataclass(frozen=True)
@@ -36,9 +44,14 @@ class SigmaConjClass:
     lambda_m: tuple        # Lambda_M normal form determining the class over M
 
     def key(self) -> str:
-        nu = ",".join(str(v) for v in self.newton)
-        ka = ",".join(str(v) for v in self.kappa)
-        return f"nu=[{nu}];kappa=[{ka}]"
+        return _key_text(self.newton, self.kappa)
+
+
+def _key_text(nu, kappa) -> str:
+    """The --class-key form of (nu, kappa): nu=[..];kappa=[..]."""
+    nu = ",".join(str(v) for v in nu)
+    ka = ",".join(str(v) for v in kappa)
+    return f"nu=[{nu}];kappa=[{ka}]"
 
 
 def newton_point(ctx: AffineWeyl, xid: int):
@@ -62,106 +75,70 @@ def levi_classes_with_newton(datum: RootDatum, m_root_idxs, nu):
 
     The classes live over the centralizer Levi M_1 of nu inside M; they are
     the integer solutions of  average over W_{M_1} of lam == nu, taken modulo
-    the coroot lattice of M_1.  Returns a set of integer tuples.
+    the coroot lattice of M_1.  Averaging is injective on Lambda_{M_1} (x) Q,
+    so these form one coset of the torsion subgroup of Lambda_{M_1}: one
+    integer solution and that subgroup give every class, each once.  With a
+    central line c the target is nu + (k/d) c; lam + c moves k by d and c is
+    a relation of Lambda_{M_1}, so k in range(d) is every shift needed.
+    Returns a set of integer tuples, empty when no class has Newton point nu.
     """
     nu = datum.coweight_nf_frac(nu)
     m1_roots = frozenset(i for i in m_root_idxs if datum.pairing_frac(i, nu) == 0)
-    wm1 = sorted(datum.reflection_subgroup(m1_roots))
     d = datum.d
-    n = len(wm1)
-    cols = []
-    for j in range(d):
-        e = tuple(1 if t == j else 0 for t in range(d))
-        acc = [0] * d
-        for w in wm1:
-            img = datum.weyl.apply(w, e)
-            acc = [a + b for a, b in zip(acc, img)]
-        cols.append(acc)  # n * average(e_j)
-    denom = n
-    for v in nu:
-        q = Fraction(v).denominator
-        denom = denom * q // _gcd(denom, q)
-    scale = denom // n
-    mat = [[cols[j][t] * scale for t in range(d)] for j in range(d)]
-    target_vecs = []
-    if datum.central is None:
-        target_vecs.append([int(Fraction(v) * denom) for v in nu])
+    mats = [datum.weyl.mats[w] for w in datum.reflection_subgroup(m1_roots)]
+    denom = math.lcm(len(mats), *(Fraction(v).denominator for v in nu))
+    scale = denom // len(mats)
+    # row j: denom * average(e_j), as |W_{M_1}| * average(e_j) is column j
+    # of the sum of the matrices
+    mat = [[scale * sum(m[t][j] for m in mats) for t in range(d)] for j in range(d)]
+    central = datum.central or (0,) * d
+    for k in ([0] if datum.central is None else range(d)):
+        target = [v * denom + Fraction(k * denom, d) * c for v, c in zip(nu, central)]
+        if all(v.denominator == 1 for v in target):
+            sol = solve_integer(mat, [int(v) for v in target])
+            if sol is not None:
+                break
     else:
-        # targets are defined mod the central line; find the integral shifts
-        base = [Fraction(v) * denom for v in nu]
-        step = Fraction(denom, datum.d)
-        for k in range(-2 * datum.d, 2 * datum.d + 1):
-            cand = [b + k * step * c for b, c in zip(base, datum.central)]
-            if all(v.denominator == 1 for v in cand):
-                target_vecs.append([int(v) for v in cand])
-    sols = []
-    for tv in target_vecs:
-        s = solve_integer(mat, tv)
-        if s is not None:
-            sols.append(s)
-    if not sols:
         return set()
-    ker = integer_kernel(mat)
-    lat_m1 = datum.levi_lattice_quotient(frozenset(m1_roots))
-    out = {}
-    for s in sols:
-        # the fiber is s + ker; mod the coroot lattice of M_1 it is finite,
-        # so a small combination scan covers every class
-        for shift in _small_combos(ker, 3, datum.d):
-            lam = tuple(a + b for a, b in zip(s, shift))
-            out.setdefault(lat_m1.normal_form(lam), lam)
-    return set(out.values())
+    lat_m1 = datum.levi_lattice_quotient(m1_roots)
+    nf = lat_m1.normal_form(sol)
+    return {lat_m1.lift(lat_m1.add(nf, t)) for t in lat_m1.window(0)}
 
 
-def _small_combos(basis, radius, d):
-    if not basis:
-        yield (0,) * d
-        return
-    ranges = [range(-radius, radius + 1)] * len(basis)
-    for coeffs in itertools.product(*ranges):
-        yield tuple(sum(c * b[t] for c, b in zip(coeffs, basis)) for t in range(d))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def classify(ctx: AffineWeyl, xid: int) -> SigmaConjClass:
-    """The sigma-conjugacy class of x, as (Newton point, kappa) plus home data."""
-    datum = ctx.datum
-    nu = newton_point(ctx, xid)
-    kappa = datum.lambda_g.normal_form(ctx.translation(xid))
+def _class_of(ctx: AffineWeyl, nu, kappa) -> SigmaConjClass:
+    """The class with dominant Newton point nu and kappa, memoized on ctx."""
     key = (nu, kappa)
     got = ctx.classes.get(key)
     if got is not None:
         return got
+    datum = ctx.datum
     home = home_parabolic_of(datum, nu)
     p = standard_parabolic(datum, home)
-    cands = levi_classes_with_newton(datum, p.r_m, nu)
-    matches = {p.lattice.normal_form(lam) for lam in cands
+    matches = {p.lattice.normal_form(lam)
+               for lam in levi_classes_with_newton(datum, p.r_m, nu)
                if datum.lambda_g.normal_form(lam) == kappa}
-    if len(matches) != 1:
-        raise RuntimeError(f"expected one class over the home Levi for nu={nu}, "
-                           f"kappa={kappa}, found {len(matches)}")
+    if not matches:
+        raise ValueError(f"no class with these invariants: {_key_text(nu, kappa)}")
+    if len(matches) > 1:
+        raise RuntimeError(f"expected one class over the home Levi for "
+                           f"{_key_text(nu, kappa)}, found {len(matches)}")
     got = SigmaConjClass(nu, kappa, home, next(iter(matches)))
     ctx.classes[key] = got
     return got
 
 
+def classify(ctx: AffineWeyl, xid: int) -> SigmaConjClass:
+    """The sigma-conjugacy class of x, as (Newton point, kappa) plus home data."""
+    kappa = ctx.datum.lambda_g.normal_form(ctx.translation(xid))
+    return _class_of(ctx, newton_point(ctx, xid), kappa)
+
+
 def class_from_invariants(datum: RootDatum, nu, kappa) -> SigmaConjClass:
+    """The class with Newton point nu and kappa; ValueError when there is none."""
     nu = datum.coweight_nf_frac(nu)
     if not datum.is_dominant(nu):
         raise ValueError("Newton point must be dominant")
-    home = home_parabolic_of(datum, nu)
-    p = standard_parabolic(datum, home)
-    cands = levi_classes_with_newton(datum, p.r_m, nu)
-    matches = {p.lattice.normal_form(lam) for lam in cands
-               if datum.lambda_g.normal_form(lam) == tuple(kappa)}
-    if len(matches) != 1:
-        raise ValueError(f"no class with these invariants: nu={nu}, kappa={kappa}")
-    return SigmaConjClass(nu, tuple(kappa), home, next(iter(matches)))
+    return _class_of(affine_context(datum), nu, tuple(kappa))
 
 
 def standard_representative(ctx: AffineWeyl, c: SigmaConjClass) -> int:
@@ -188,7 +165,7 @@ def fundamental_representative(ctx: AffineWeyl, c: SigmaConjClass):
         for p in paras:
             if wpart in p.w_m and is_fundamental_p_alcove(ctx, x, p):
                 return x, p
-    raise AssertionError("no fundamental representative found; this contradicts "
+    raise RuntimeError("no fundamental representative found; this contradicts "
                          "the existence theorem and indicates a bug")
 
 

@@ -225,7 +225,8 @@ class LatticeQuotient:
     def window(self, spread: int):
         """
         Normal forms with every free coordinate in [-spread, spread] and every
-        torsion coordinate in [0, m), in itertools.product order.
+        torsion coordinate in [0, m), in itertools.product order.  window(0)
+        is exactly the torsion subgroup.
         """
         ranges = [range(-spread, spread + 1) if m == 0 else range(m)
                   for m in self.moduli]

@@ -215,8 +215,11 @@ C2 = ["--type", "C", "--rank", "2"]
     ["query", *C2, "--class-key", "trivial", "--x", "o[1]"],
     ["query", *C2, "--class-key", "trivial", "--x", "o[5,5]"],
     ["query", *C2, "--class-key", "trivial", "--x", "o[1,0]"],
+    ["query", *A2, "--class-key", "nu=[1,0,-1];kappa=[0,0,1]", "--x", "s1"],
+    ["query", *A2, "--class-key", "nu=[-1,0,1];kappa=[0,0,0]", "--x", "s1"],
 ], ids=["bad-generator", "short-translation", "short-class-key", "bad-type",
-        "short-omega", "omega-not-normal-form", "omega-unit-modulus"])
+        "short-omega", "omega-not-normal-form", "omega-unit-modulus",
+        "class-key-no-class", "class-key-not-dominant"])
 def test_bad_input_is_one_line_and_exit_1(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -226,6 +229,7 @@ def test_bad_input_is_one_line_and_exit_1(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("adlv: "), proc.stderr
+    assert "Fraction(" not in proc.stderr
 
 
 def test_trivial_figure_single_alcove(tmp_path):
@@ -249,7 +253,8 @@ def test_solve_cache_key_unchanged():
 
 
 def test_library_has_no_assert():
-    # python -O strips assert statements, so the library's checks raise
+    # python -O strips assert statements, and AssertionError reads as one;
+    # the library's checks raise RuntimeError or ValueError instead
     src = os.path.dirname(cli.__file__)
     found = []
     for name in sorted(os.listdir(src)):
@@ -257,5 +262,13 @@ def test_library_has_no_assert():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=name)
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                      if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert found == []
+
+
+def _raises_assertion_error(node):
+    """Is node a `raise AssertionError` or `raise AssertionError(...)`?"""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"

@@ -515,6 +515,15 @@ def test_memo_tables_live_on_their_objects():
     assert list(c1.classes.values()) == [cls]
     assert c2.classes == {}
     assert sg.classify(c2, c2.identity) is not cls
+    # class_from_invariants and classify share the context's memo, either
+    # one building the class first
+    assert sg.class_from_invariants(d1, cls.newton, cls.kappa) is cls
+    x = c1.from_translation((2, 1))
+    nb = sg.class_from_invariants(d1, sg.newton_point(c1, x), c1.omega_class(x))
+    assert not sg.is_basic(d1, nb) and sg.classify(c1, x) is nb
+    assert len(c1.classes) == 2
+    assert sg.class_from_invariants(d2, nb.newton, nb.kappa) is not nb
+    assert sg.class_from_invariants(d2, cls.newton, cls.kappa) is sg.classify(c2, c2.identity)
 
 
 def test_superset_basics(a2_ctx):

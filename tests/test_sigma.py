@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 from adlv import sigma as sg
 from adlv.affine import affine_context
 from adlv.alcoves import pair_two_rho
-from adlv.roots import build_root_datum, standard_parabolic
+from adlv.engine import newton_orbit
+from adlv.roots import build_root_datum, semistandard_parabolics, standard_parabolic
+from adlv.snf import integer_kernel, solve_integer
 
 
 def test_newton_points(a2_ctx, gl2_ctx):
@@ -246,3 +249,61 @@ def test_lambda_m_pushes_to_kappa(a2_ctx, c2_ctx, gl3_ctx):
         for c in sg.enumerate_classes(ctx, 6):
             p = standard_parabolic(datum, c.home_simple)
             assert datum.lambda_g.normal_form(p.lattice.lift(c.lambda_m)) == c.kappa
+
+
+def reference_levi_classes(datum, m_root_idxs, nu):
+    """
+    The earlier scan, kept as a reference: every central shift k in
+    [-2d, 2d], and all combinations with coefficients in [-3, 3] of an
+    integer kernel basis added to each solution.
+    """
+    nu = datum.coweight_nf_frac(nu)
+    m1 = frozenset(i for i in m_root_idxs if datum.pairing_frac(i, nu) == 0)
+    wm1 = sorted(datum.reflection_subgroup(m1))
+    d, n = datum.d, len(wm1)
+    cols = []
+    for j in range(d):
+        e = tuple(int(t == j) for t in range(d))
+        cols.append([sum(datum.weyl.apply(w, e)[t] for w in wm1) for t in range(d)])
+    denom = n
+    for v in nu:
+        q = Fraction(v).denominator
+        denom = denom * q // math.gcd(denom, q)
+    mat = [[v * (denom // n) for v in col] for col in cols]
+    base = [v * denom for v in nu]
+    if datum.central is None:
+        targets = [base]
+    else:
+        targets = [[b + Fraction(k * denom, d) * c for b, c in zip(base, datum.central)]
+                   for k in range(-2 * d, 2 * d + 1)]
+    sols = [solve_integer(mat, [int(v) for v in t]) for t in targets
+            if all(v.denominator == 1 for v in t)]
+    ker = integer_kernel(mat)
+    out = set()
+    for s in (s for s in sols if s is not None):
+        for coeffs in itertools.product(range(-3, 4), repeat=len(ker)):
+            out.add(tuple(s[t] + sum(c * b[t] for c, b in zip(coeffs, ker))
+                          for t in range(d)))
+    return m1, out
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, ""), ("G", 2, ""),
+                                  ("A", 3, ""), ("B", 3, ""), ("GL", 3, ""),
+                                  ("GL", 4, "")])
+def test_levi_classes_match_reference_scan(spec):
+    # the torsion coset against the earlier radius-3 scan, on every
+    # semistandard Levi over the Newton orbit of every class of slope <= 3
+    datum = build_root_datum(*spec)
+    ctx = affine_context(datum)
+    levis = {p.r_m for p in semistandard_parabolics(datum)}
+    nus = {nu for c in sg.enumerate_classes(ctx, 3) for nu in newton_orbit(ctx, c.newton)}
+    assert len(levis) > 1 and len(nus) > 1
+    for r_m in sorted(levis, key=sorted):
+        for nu in sorted(nus):
+            m1, want = reference_levi_classes(datum, r_m, nu)
+            lat = datum.levi_lattice_quotient(m1)
+            got = sg.levi_classes_with_newton(datum, r_m, nu)
+            assert {lat.normal_form(v) for v in got} == \
+                {lat.normal_form(v) for v in want}, (r_m, nu)
+            if got:
+                assert len(got) == len(list(lat.window(0))), (r_m, nu)
