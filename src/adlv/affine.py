@@ -60,9 +60,12 @@ class AffineWeyl:
         # memo of the classes of sigma.classify and sigma.class_from_invariants:
         # (Newton point, kappa) -> class
         self.classes: dict[tuple, object] = {}
-        # the one sweep engine.sweep_elements keeps, over the union of the
-        # Omega sets and the largest cutoff asked so far: None, or (cutoff,
-        # frozenset of omegas, sweep, lengths of its elements, tau of each)
+        # the one sweep engine.kept_sweep keeps, over the union of the Omega
+        # sets and the largest cutoff asked so far: None, or an engine.Sweep
+        # (cutoff, frozenset of omegas, sweep, and per position the length,
+        # the tau and the central class index of w; then the class count
+        # and the conjugate tables w^{-1} b w, by the element id of b).  A
+        # rebuild replaces it, tables included
         self.sweep: tuple | None = None
         # for central_class: the central cocharacters are none, or Z z for
         # one z with a coordinate z[i] = +-1 (GL_n: z = (1,..,1)); kept as

@@ -393,6 +393,11 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; our contract says 1
         raise SystemExit(1 if exc.code not in (0,) else 0)
+    for name, low in (("cutoff", 0), ("max_len", 0), ("jobs", 1), ("bound", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise SystemExit(f"adlv: --{name.replace('_', '-')} must be at least "
+                             f"{low}, not {value}")
     if args.cmd == "classes":
         return cmd_classes(args)
     if args.cmd == "query":

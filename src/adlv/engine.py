@@ -48,17 +48,37 @@ Central translates.  A central cocharacter z, one orthogonal to every root
 element t^z of W~ with <beta, z> = 0 for every root beta.  So w and w * t^z
 have one finite part and one k(beta, w^{-1}.a) for every beta, hence one
 profile m_J and one wall pattern, and w^{-1} b w is the same element for
-both.  survey_batch computes the profile, the wall key and the lookup keys
-once per class of w modulo central translations (AffineWeyl.central_class),
-but still visits every w in sweep order, because eta_G(w * t^z) moves with z
-and the acceptance test, the positions and the witnesses are per w.
+both.  survey_batch computes the profile, the wall key and w^{-1} b w once
+per class of w modulo central translations, but still visits every w in
+sweep order, because eta_G(w * t^z) moves with z and the acceptance test,
+the positions and the witnesses are per w.  The kept sweep numbers these
+classes when it is built: W~ = W_a x| Omega and t^z lies in Omega, so the
+class of w = u * tau is the pair (u, central class of tau), and
+AffineWeyl.central_class runs once per tau.
+
+Conjugate tables.  None of the per-w data of a sweep depends on x: the tau
+of w = u * tau, its central class, and for a class representative b the
+element w^{-1} b w that the stratum of w reads.  So the context keeps them
+with its sweep (kept_sweep): tau and the class index per sweep position,
+and per b a conjugate table over the class indices, filled by survey_batch
+as it first meets a class and read by every later query or survey of that
+class on the context.  A rebuild of the sweep renumbers the classes and
+drops the tables.  Two more per-w steps go by tau alone: x = word * tau
+meets w^{-1} b w where the word's frontier holds w^{-1} b w tau^{-1}, so
+survey_batch moves tau onto the frontier once per wall group, {y * tau},
+and looks w^{-1} b w up in it; and for infinite Lambda_G it tests eta_G(w)
+against the window of x by tau, since eta_G(u * tau) = eta_G(tau) and
+eta_G is injective on Omega.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine import AffineWeyl
 from .alcoves import is_p_alcove, newton_vector, pair_two_rho
@@ -351,6 +371,67 @@ def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
     return [ctx.omega_element(p_full, nf) for nf in datum.lambda_g.window(spread)]
 
 
+class Sweep(NamedTuple):
+    """
+    The sweep a context keeps (AffineWeyl.sweep): every w = u * tau with
+    ell(u) <= cutoff and tau in union, sorted by (length, text), and per
+    sweep position the length, the tau and the central class index of w.
+    The class indices number the classes of w modulo central translations
+    in order of first position; without central cocharacters every w is its
+    own class and classes is range(len(ws)).  conj_tables maps the element
+    id of a class representative b to its conjugate table, an array over
+    class indices holding w^{-1} b w, -1 where not filled yet.
+    """
+    cutoff: int
+    union: frozenset
+    ws: list
+    lengths: list
+    taus: list
+    classes: Sequence[int]
+    nclasses: int
+    conj_tables: dict
+
+
+def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
+    """
+    The context's kept sweep, rebuilt first when it does not cover max_len
+    and omegas.  A rebuild grows it to the larger cutoff and the union of the
+    Omega sets, and drops its conjugate tables with its class indices.
+    """
+    kept = ctx.sweep
+    if kept is not None and max_len <= kept.cutoff and omegas <= kept.union:
+        return kept
+    cutoff, union = max_len, omegas
+    if kept is not None:
+        cutoff, union = max(max_len, kept.cutoff), omegas | kept.union
+    ball = affine_ball(ctx, cutoff)
+    omega_list = list(union)
+    nt = len(omega_list)
+    # w = u * tau is coded iu * nt + it by the positions of u and tau
+    code_of = {ctx.mul(u, tau): iu * nt + it
+               for iu, u in enumerate(ball) for it, tau in enumerate(omega_list)}
+    ws = sorted(code_of, key=lambda w: (ctx.length(w), ctx.format(w)))
+    taus = [omega_list[code_of[w] % nt] for w in ws]
+    if ctx.datum.central_cocharacters:
+        # W~ = W_a x| Omega and a central t^z lies in Omega, so the central
+        # class of w = u * tau is the pair (u, central class of tau)
+        central: dict = {}
+        tau_class = [central.setdefault(ctx.central_class(tau), len(central))
+                     for tau in omega_list]
+        index: dict[tuple, int] = {}
+        classes = array("q")
+        for w in ws:
+            iu, it = divmod(code_of[w], nt)
+            classes.append(index.setdefault((iu, tau_class[it]), len(index)))
+        nclasses = len(index)
+    else:
+        classes = range(len(ws))
+        nclasses = len(ws)
+    kept = ctx.sweep = Sweep(cutoff, union, ws, [ctx.length(w) for w in ws],
+                             taus, classes, nclasses, {})
+    return kept
+
+
 def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
     """
     All w = u * tau, ell(u) <= max_len, tau in omegas, sorted by (length,
@@ -358,27 +439,16 @@ def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
     ell(u), so the sweep for a cutoff is a prefix of the sweep for any
     larger one, and the sweep over a subset of the Omega set is the
     subsequence of the w whose tau lies in it (tau is determined by w).  So
-    the context keeps one sweep, over the union of the Omega sets and the
-    largest cutoff asked so far, with each w's tau beside it, and cuts a
-    prefix, filtered by tau when omegas is a proper subset; a larger cutoff
-    or a new omega rebuilds it.
+    the context keeps one sweep (kept_sweep), over the union of the Omega
+    sets and the largest cutoff asked so far, and this cuts a prefix of it,
+    filtered by tau when omegas is a proper subset.
     """
     key = frozenset(omegas)
-    kept = ctx.sweep
-    if kept is None or kept[0] < max_len or not key <= kept[1]:
-        cutoff, union = max_len, key
-        if kept is not None:
-            cutoff, union = max(max_len, kept[0]), key | kept[1]
-        ball = affine_ball(ctx, cutoff)
-        tau_of = {ctx.mul(u, tau): tau for u in ball for tau in union}
-        ws = sorted(tau_of, key=lambda w: (ctx.length(w), ctx.format(w)))
-        kept = ctx.sweep = (cutoff, union, ws, [ctx.length(w) for w in ws],
-                            [tau_of[w] for w in ws])
-    _, union, ws, lengths, taus = kept
-    end = bisect_right(lengths, max_len)
-    if key == union:
-        return ws[:end]
-    return [w for w, tau in zip(ws[:end], taus) if tau in key]
+    kept = kept_sweep(ctx, max_len, key)
+    end = bisect_right(kept.lengths, max_len)
+    if key == kept.union:
+        return kept.ws[:end]
+    return [w for w, tau in zip(kept.ws[:end], kept.taus) if tau in key]
 
 
 def class_data(ctx: AffineWeyl, cls: SigmaConjClass):
@@ -506,8 +576,10 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     group's first sweep position, and looks up every member of the group in
     those frontiers; between equal strata the lowest sweep position wins,
     which is the first w in sweep order.  Only one group's frontiers are
-    held at a time.  The profile, the wall key and the lookup keys of w are
-    computed once per central class of w (see the module docstring).
+    held at a time.  The profile and the wall key of w are computed once
+    per central class of w per call; w^{-1} b w once per central class and
+    context, in the conjugate table of b on the kept sweep, and the tau of
+    each x goes onto its frontier once per group (see the module docstring).
 
     With stop_at_first each x takes the first w of the sweep with a
     non-empty stratum, and the sweep ends once no later group can hold an
@@ -526,78 +598,74 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
         return results
     b, p, corr2 = class_data(ctx, cls)
     # for finite Lambda_G every x sweeps all of Omega_G, and each w = u * tau
-    # has eta_G(w) = eta_G(tau), so every w is allowed; else the window
-    # depends on x
+    # has eta_G(w) = eta_G(tau), so every w is allowed; else x allows the w
+    # whose tau lies in its window, as eta_G is injective on Omega
     allowed = None
     if ctx.datum.lambda_g.order() is not None:
-        omegas = set(omega_window(ctx, cls, [b]))
+        omegas = frozenset(omega_window(ctx, cls, [b]))
     else:
-        omegas = set()
-        allowed = {}
-        for x in pending_words:
-            window = omega_window(ctx, cls, [x, b])
-            omegas.update(window)
-            allowed[x] = frozenset(ctx.omega_class(t) for t in window)
+        allowed = {x: frozenset(omega_window(ctx, cls, [x, b]))
+                   for x in pending_words}
+        omegas = frozenset().union(*allowed.values())
     parents, need, order = prefix_tree(ctx, pending_words)
     walls = fold_walls(ctx, parents, order)
-    # wall key -> (profile of its first w, [(sweep position, w, central
-    # class of w), ...]), in the order of first positions; the key is
-    # computed once per central class
+    kept = kept_sweep(ctx, cutoff, omegas)
+    ws, taus, classes = kept.ws, kept.taus, kept.classes
+    conjs = kept.conj_tables.get(b)
+    if conjs is None:
+        conjs = kept.conj_tables[b] = array("q", [-1]) * kept.nclasses
+    # wall key -> (profile of its first w, [sweep position, ...]), in the
+    # order of first positions; the key is computed once per central class
     groups: dict[tuple, tuple] = {}
-    class_keys: dict = {}
-    for pos, w in enumerate(sweep_elements(ctx, cutoff, omegas)):
-        c = ctx.central_class(w)
+    class_keys: dict[int, tuple] = {}
+    every = omegas == kept.union
+    for pos in range(bisect_right(kept.lengths, cutoff)):
+        if not every and taus[pos] not in omegas:
+            continue
+        c = classes[pos]
         key = class_keys.get(c)
         if key is None:
-            profile = orientation_profile(ctx, p, w)
+            profile = orientation_profile(ctx, p, ws[pos])
             key = class_keys[c] = wall_key(walls, profile)
             if key not in groups:
                 groups[key] = (profile, [])
-        groups[key][1].append((pos, w, c))
-    tau_invs = {tau: ctx.inv(tau) for xs in need.values() for _, tau in xs}
+        groups[key][1].append(pos)
     # best[x] = (dim, sweep position, w) of the stratum kept so far
     best: dict[int, tuple | None] = dict.fromkeys(pending_words)
     undecided = len(best)
     for profile, members in groups.values():
         if stop_at_first and not undecided and \
-                all(hit[1] < members[0][0] for hit in best.values()):
+                all(hit[1] < members[0] for hit in best.values()):
             break
         frontiers = {ctx.identity: {ctx.identity: 0}}
         for u in order:
             par, gi = parents[u]
             frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
-        # central class -> lookup keys; a class lies in one group
-        class_lookups: dict = {}
-        for pos, w, c in members:
-            # x = word * tau meets btilde = w^{-1} b w where the word's
-            # frontier holds btilde * tau^{-1}
-            keys = class_lookups.get(c)
-            if keys is None:
-                btilde = ctx.conj(ctx.inv(w), b)
-                keys = class_lookups[c] = {
-                    tau: btilde if tau == ctx.identity else ctx.mul(btilde, ti)
-                    for tau, ti in tau_invs.items()}
-            wcls = None
-            for u, xs in need.items():
-                frontier = frontiers[u]
-                for x, tau in xs:
-                    got = frontier.get(keys[tau])
-                    if got is None:
-                        continue
-                    if allowed is not None:
-                        if wcls is None:
-                            wcls = ctx.omega_class(w)
-                        if wcls not in allowed[x]:
-                            continue
-                    cur = best[x]
-                    if stop_at_first and cur is not None and cur[1] < pos:
-                        continue
-                    val = stratum_value(got, corr2)
-                    if cur is None:
-                        undecided -= 1
-                    elif not stop_at_first and (val, -pos) <= (cur[0], -cur[1]):
-                        continue
-                    best[x] = (val, pos, w)
+        # x = word * tau meets btilde = w^{-1} b w where the word's frontier
+        # holds btilde * tau^{-1}, that is where {y * tau} holds btilde
+        shifted = [(x, frontiers[u] if tau == ctx.identity else
+                    {ctx.mul(y, tau): d for y, d in frontiers[u].items()})
+                   for u, xs in need.items() for x, tau in xs]
+        for pos in members:
+            c = classes[pos]
+            btilde = conjs[c]
+            if btilde < 0:
+                btilde = conjs[c] = ctx.conj(ctx.inv(ws[pos]), b)
+            for x, frontier in shifted:
+                got = frontier.get(btilde)
+                if got is None:
+                    continue
+                if allowed is not None and taus[pos] not in allowed[x]:
+                    continue
+                cur = best[x]
+                if stop_at_first and cur is not None and cur[1] < pos:
+                    continue
+                val = stratum_value(got, corr2)
+                if cur is None:
+                    undecided -= 1
+                elif not stop_at_first and (val, -pos) <= (cur[0], -cur[1]):
+                    continue
+                best[x] = (val, pos, ws[pos])
     for x, hit in best.items():
         if hit is None:
             results[x] = AdlvResult("empty-up-to-cutoff", cutoff=cutoff)

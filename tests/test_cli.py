@@ -217,9 +217,17 @@ C2 = ["--type", "C", "--rank", "2"]
     ["query", *C2, "--class-key", "trivial", "--x", "o[1,0]"],
     ["query", *A2, "--class-key", "nu=[1,0,-1];kappa=[0,0,1]", "--x", "s1"],
     ["query", *A2, "--class-key", "nu=[-1,0,1];kappa=[0,0,0]", "--x", "s1"],
+    ["query", *C2, "--class-key", "trivial", "--x", "s1*s2*s1", "--cutoff", "-3"],
+    ["survey", *C2, "--class-key", "trivial", "--max-len", "2", "--cutoff", "-1"],
+    ["survey", *C2, "--class-key", "trivial", "--max-len", "-1"],
+    ["survey", *C2, "--class-key", "trivial", "--max-len", "2", "--jobs", "0"],
+    ["figure", *C2, "--class-key", "trivial", "--max-len", "-2", "--out", os.devnull],
+    ["classes", *C2, "--bound", "-1"],
 ], ids=["bad-generator", "short-translation", "short-class-key", "bad-type",
         "short-omega", "omega-not-normal-form", "omega-unit-modulus",
-        "class-key-no-class", "class-key-not-dominant"])
+        "class-key-no-class", "class-key-not-dominant", "negative-cutoff",
+        "survey-negative-cutoff", "negative-max-len", "jobs-below-1",
+        "figure-negative-max-len", "negative-bound"])
 def test_bad_input_is_one_line_and_exit_1(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -48,29 +48,60 @@ def test_table_rank_one_hand_computation():
     assert t == {ctx.identity: 1, s: 0}
 
 
+def _check_trace_identity(ctx, H, x, w):
+    # the fold table of x against w (P = G), checked against the Hecke
+    # product T_w T_x through the trace identity
+    # deg C(x, y^{-1}w^{-1}, w^{-1}) = deg (T_w T_x)[wy] + ell(wy) - ell(w);
+    # returns the table
+    from adlv.hecke import poly_deg
+    table = eng.orbit_dim_table(ctx, x, full_parabolic(ctx.datum), w)
+    prod = H.mul_basis(H.t(w), x)
+    assert {ctx.mul(w, y) for y in table} == set(prod)
+    lw = ctx.length(w)
+    for y, dim in table.items():
+        wy = ctx.mul(w, y)
+        assert dim == poly_deg(prod[wy]) + ctx.length(wy) - lw
+    return table
+
+
 def test_oracle_equivalence_small(a2_ctx):
     # folding tables = Hecke structure-constant degrees, P = G
     ctx = a2_ctx
     H = Hecke(ctx)
-    p = full_parabolic(ctx.datum)
     xs = ball_with_omega(ctx, 4)
     ws = [w for w in ball_with_omega(ctx, 3)]
-    from adlv.hecke import poly_deg
     for x in xs:
         for w in ws:
-            table = eng.orbit_dim_table(ctx, x, p, w)
-            # direct oracle on a sample of entries
+            table = _check_trace_identity(ctx, H, x, w)
+            # and the direct oracle on a sample of entries
             winv = ctx.inv(w)
             for y, dim in list(table.items())[:4]:
                 assert dim == H.structure_deg(x, ctx.mul(ctx.inv(y), winv), winv)
-            # full comparison through the trace identity:
-            # deg C(x, y^{-1}w^{-1}, w^{-1}) = deg (T_w T_x)[wy] + ell(wy) - ell(w)
-            prod = H.mul_basis(H.t(w), x)
-            assert {ctx.mul(w, y) for y in table} == set(prod)
-            lw = ctx.length(w)
-            for y, dim in table.items():
-                wy = ctx.mul(w, y)
-                assert dim == poly_deg(prod[wy]) + ctx.length(wy) - lw
+
+
+def test_fold_is_hecke_degree_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from([("A", 2, "SL"), ("C", 2, "adjoint"),
+                                ("G", 2, "adjoint"), ("GL", 2, "")]),
+               st.lists(st.integers(0, 2), max_size=5),
+               st.lists(st.integers(0, 2), max_size=4),
+               st.integers(-2, 2), st.integers(-2, 2))
+    def check(spec, x_word, w_word, x_omega, w_omega):
+        ctx = affine_context(build_root_datum(*spec))
+        try:
+            omegas = sorted(ctx.omega_g_elements().values())
+        except ValueError:
+            omegas = [ctx.parse(f"tau^{k}") for k in range(-2, 3)]
+        ngens = len(ctx.gens)
+        x = ctx.from_word([i % ngens for i in x_word], omegas[x_omega % len(omegas)])
+        w = ctx.from_word([i % ngens for i in w_word], omegas[w_omega % len(omegas)])
+        assert ctx.length(x) <= 5 and ctx.length(w) <= 4
+        _check_trace_identity(ctx, Hecke(ctx), x, w)
+
+    check()
 
 
 def test_at_infinity_tables(a2_ctx):
@@ -444,6 +475,62 @@ def test_central_translates_share_profile_and_btilde(n):
         for b in bs:
             assert ctx.mul(ctx.mul(ctx.inv(wz), b), wz) == \
                 ctx.mul(ctx.mul(ctx.inv(w), b), w)
+
+
+def _check_kept_sweep(ctx):
+    # the per-w data of the kept sweep against the functions it stands for
+    kept = ctx.sweep
+    index = {}
+    want = [index.setdefault(ctx.central_class(w), len(index)) for w in kept.ws]
+    assert list(kept.classes) == want
+    assert kept.nclasses == len(index)
+    for w, tau in zip(kept.ws, kept.taus):
+        assert tau in kept.union
+        assert ctx.omega_class(w) == ctx.omega_class(tau)
+    filled = 0
+    for b, table in kept.conj_tables.items():
+        assert len(table) == kept.nclasses
+        for w, c in zip(kept.ws, kept.classes):
+            if table[c] >= 0:
+                assert table[c] == ctx.conj(ctx.inv(w), b), ctx.format(w)
+                filled += 1
+    return filled
+
+
+@pytest.mark.parametrize("spec", [("GL", 3, ""), ("GL", 2, ""), ("A", 2, "SL"),
+                                  ("C", 2, "adjoint")])
+def test_conjugate_tables_on_the_kept_sweep(spec):
+    # a scripted run of solve calls over several classes, whose cutoffs and
+    # Omega windows grow so that the sweep is rebuilt between them; the
+    # tables stay exact through it, and the last round, on a context warmed
+    # by the others, agrees with the per-w reference; a new datum gives a
+    # new context
+    ctx = affine_context(RootDatum(*spec))
+    datum = ctx.datum
+    unit = (1,) + (0,) * (datum.d - 1)
+    seeds = [ctx.identity, ctx.from_translation(unit)]
+    if datum.lambda_g.order() not in (None, 1):
+        seeds.append(ctx.parse("tau"))
+    classes = [sg.classify(ctx, g) for g in seeds]
+    assert not all(sg.is_basic(datum, cls) for cls in classes)
+    rounds = ((4, 2), (6, 3), (5, 4), (7, 4))
+    builds, filled = [], 0
+    for n, (cutoff, max_len) in enumerate(rounds):
+        for cls in classes:
+            xs = [x for x in survey_elements(ctx, cls, max_len)
+                  if eng.emptiness_certificate(ctx, x, cls) is None]
+            wide = max(xs, key=lambda x: (max(map(abs, ctx.translation(x))),
+                                          ctx.length(x)))
+            for x in dict.fromkeys([wide, xs[-1]]):
+                got = eng.solve(ctx, x, cls, cutoff)
+                if not builds or ctx.sweep is not builds[-1]:
+                    builds.append(ctx.sweep)
+                filled = max(filled, _check_kept_sweep(ctx))
+                if n == len(rounds) - 1:
+                    assert outcome(got) == reference_solve(ctx, x, cls, cutoff), \
+                        ctx.format(x)
+    assert len(builds) > 2 and filled
+    assert len(ctx.sweep.conj_tables) > 1
 
 
 def test_survey_stop_at_first_statuses(a2_ctx, c2_ctx, gl3_ctx):
