@@ -5,9 +5,9 @@ extended affine Weyl group.
 """
 
 from .affine import AffineWeyl, affine_context
-from .engine import (AdlvResult, dim_stratum, necessary_condition, orbit_dim_table,
-                     predict_levi, predict_shrunken, reduce_to_basic, solve,
-                     superset, survey_batch)
+from .engine import (AdlvResult, necessary_condition, orbit_dim_table, predict_levi,
+                     predict_shrunken, reduce_to_basic, solve, superset,
+                     survey_batch)
 from .roots import (RootDatum, SemistdParabolic, build_root_datum,
                     semistandard_parabolics, standard_parabolic)
 from .sigma import (SigmaConjClass, class_from_invariants, classify, defect,
@@ -16,9 +16,9 @@ from .sigma import (SigmaConjClass, class_from_invariants, classify, defect,
                     standard_representative)
 
 __all__ = [
-    "AffineWeyl", "affine_context", "AdlvResult", "dim_stratum",
-    "necessary_condition", "orbit_dim_table", "predict_levi", "predict_shrunken",
-    "reduce_to_basic", "solve", "superset", "survey_batch", "RootDatum",
+    "AffineWeyl", "affine_context", "AdlvResult", "necessary_condition",
+    "orbit_dim_table", "predict_levi", "predict_shrunken", "reduce_to_basic",
+    "solve", "superset", "survey_batch", "RootDatum",
     "SemistdParabolic", "build_root_datum", "semistandard_parabolics",
     "standard_parabolic", "SigmaConjClass", "class_from_invariants", "classify",
     "defect", "enumerate_classes", "fundamental_representative",

@@ -15,6 +15,7 @@ fundamental P-alcoves x in Omega_M with their slope vectors nu_x.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,15 +106,14 @@ def eta2(ctx: AffineWeyl, xid: int) -> int:
     datum = ctx.datum
     lam, w = ctx._elts[xid]
     p = datum.base_point()
-    pt = [Fraction(v) for v in datum.weyl.apply_frac(w, p)]
-    pt = [a + b for a, b in zip(pt, lam)]
+    pt = [a + b for a, b in zip(datum.weyl.apply(w, p), lam)]
     u = 0
     moved = True
     W = datum.weyl
     while moved:
         moved = False
         for pos, ri in enumerate(datum.simple_idx):
-            val = datum.pairing_frac(ri, pt)
+            val = datum.pairing(ri, pt)
             if val == 0:
                 raise RuntimeError("alcove point on a chamber wall")
             if val < 0:
@@ -198,12 +198,14 @@ def newton_vector(ctx: AffineWeyl, xid: int):
     return datum.coweight_nf_frac(out)
 
 
-def pair_two_rho(datum, vec) -> Fraction:
-    return sum(Fraction(datum.two_rho[j]) * vec[j] for j in range(datum.d))
+def pair_two_rho(datum, vec):
+    """<2 rho, vec>, exact on integer and Fraction vectors alike."""
+    return sum(map(operator.mul, datum.two_rho, vec))
 
 
-def pair_two_rho_n(p: SemistdParabolic, vec) -> Fraction:
-    return sum(Fraction(p.two_rho_n[j]) * vec[j] for j in range(p.datum.d))
+def pair_two_rho_n(p: SemistdParabolic, vec):
+    """<2 rho_N, vec> for P = MN."""
+    return sum(map(operator.mul, p.two_rho_n, vec))
 
 
 def omega_p_elements(ctx: AffineWeyl, p: SemistdParabolic, bound: int):

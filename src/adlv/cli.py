@@ -9,9 +9,9 @@ Subcommands:
             comparing the computed status against the predictions
   figure    rank-2 SVG/TSV picture of the emptiness/dimension pattern
 
-Exit codes: 0 = ran, 1 = usage error or bad input (one "adlv: ..." line on
-stderr), 2 = a disagreement was found in --check mode.  The default cache
-directory comes from $ADLV_CACHE_DIR.
+Exit codes: 0 = ran, 1 = usage error, bad input or a path that cannot be
+used (one "adlv: ..." line on stderr), 2 = a disagreement was found in
+--check mode.  The default cache directory comes from $ADLV_CACHE_DIR.
 
 JSON output schema (version 1).  Survey records and query output carry:
 x, length, shrunken, eta1, eta2, class_key, computed {status, dim,
@@ -298,10 +298,13 @@ def cmd_survey(args, out=sys.stdout):
     datum = _datum(args)
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
+    store = CacheStore(args.cache_dir)
+    # open the sink first, so that a path that cannot be written fails
+    # before the sweep
+    sink = open(args.out, "w", encoding="utf-8") if args.out else out
     xs = survey_elements(ctx, cls, args.max_len)
     cutoff = args.cutoff if args.cutoff is not None else (
         args.max_len + 2 * eng.coxeter_number(datum))
-    store = CacheStore(args.cache_dir)
     results = {}
     todo = []
     for x in xs:
@@ -344,7 +347,6 @@ def cmd_survey(args, out=sys.stdout):
         "disagree_shrunken": sum(1 for r in recs if r["agree_shrunken"] is False),
         "disagree_levi": sum(1 for r in recs if r["agree_levi"] is False),
     }
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
     try:
         if args.format == "json":
             for r in recs:
@@ -370,6 +372,10 @@ def cmd_figure(args, out=sys.stdout):
         raise SystemExit("adlv: figures need a rank-2 type (A2, B2, C2, G2)")
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
+    # open the outputs first, so that a path that cannot be written fails
+    # before the sweep
+    svg = open(args.out, "w", encoding="utf-8")
+    tsv = open(args.tsv, "w", encoding="utf-8") if args.tsv else None
     xs = survey_elements(ctx, cls, args.max_len)
     cutoff = args.cutoff if args.cutoff is not None else (
         args.max_len + 2 * eng.coxeter_number(datum))
@@ -377,11 +383,11 @@ def cmd_figure(args, out=sys.stdout):
     records = [{"x": x, "status": results[x].status, "dim": results[x].dim}
                for x in xs]
     from .figure import render_svg, render_tsv
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(ctx, records))
-    if args.tsv:
-        with open(args.tsv, "w", encoding="utf-8") as fh:
-            fh.write(render_tsv(ctx, records))
+    with svg:
+        svg.write(render_svg(ctx, records))
+    if tsv is not None:
+        with tsv:
+            tsv.write(render_tsv(ctx, records))
     print(f"wrote {args.out}" + (f" and {args.tsv}" if args.tsv else ""), file=out)
     return 0
 
@@ -398,15 +404,13 @@ def main(argv=None):
         if value is not None and value < low:
             raise SystemExit(f"adlv: --{name.replace('_', '-')} must be at least "
                              f"{low}, not {value}")
-    if args.cmd == "classes":
-        return cmd_classes(args)
-    if args.cmd == "query":
-        return cmd_query(args)
-    if args.cmd == "survey":
-        return cmd_survey(args)
-    if args.cmd == "figure":
-        return cmd_figure(args)
-    raise SystemExit(1)
+    run = {"classes": cmd_classes, "query": cmd_query, "survey": cmd_survey,
+           "figure": cmd_figure}[args.cmd]
+    try:
+        return run(args)
+    except OSError as exc:
+        # an --out, --tsv or --cache-dir path that cannot be used
+        raise SystemExit(f"adlv: {exc}")
 
 
 if __name__ == "__main__":

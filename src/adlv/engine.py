@@ -212,7 +212,7 @@ def newton_orbit(ctx: AffineWeyl, nu) -> tuple:
     if got is None:
         datum = ctx.datum
         W = datum.weyl
-        got = tuple(dict.fromkeys(datum.coweight_nf_frac(W.apply_frac(w, nu))
+        got = tuple(dict.fromkeys(datum.coweight_nf_frac(W.apply(w, nu))
                                   for w in W.elements()))
         ctx.newton_orbits[nu] = got
     return got
@@ -363,7 +363,14 @@ def affine_ball(ctx: AffineWeyl, max_len: int):
 def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
     """
     The omega parts to sweep: all of Omega_G when the fundamental group is
-    finite, else a window of the free coordinates sized by the inputs.
+    finite, else a window of the free coordinates sized by the inputs,
+    spread = max |translation(x)| + 2.
+
+    For GL_n the window is a witness rule, not a search bound: it sets which
+    w a survey or query reports as witness_w, not the status or the dim.
+    Narrowed by 1 or widened by 6 on GL3 and GL4 surveys it moved no status
+    and no dim but did move witnesses, and a test widens it by 6 on GL2 and
+    GL3 surveys.  So a change to the window changes witness_w in the output.
     """
     datum = ctx.datum
     p_full = standard_parabolic(datum, frozenset(datum.simple_idx))
@@ -478,16 +485,6 @@ def stratum_value(got: int, corr2: int) -> int:
         raise ArithmeticError(
             f"stratum dimension {Fraction(twice, 2)} is not a nonnegative integer")
     return twice // 2
-
-
-def dim_stratum(ctx: AffineWeyl, xid: int, cls: SigmaConjClass, wid: int,
-                table: dict | None = None):
-    """dim(X_x(b) cap I_P w.a), or None when the stratum is empty."""
-    b, p, corr2 = class_data(ctx, cls)
-    if table is None:
-        table = orbit_dim_table(ctx, xid, p, wid, "periodic")
-    got = table.get(ctx.conj(ctx.inv(wid), b))
-    return None if got is None else stratum_value(got, corr2)
 
 
 def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
@@ -701,8 +698,7 @@ def superset(ctx: AffineWeyl, cls: SigmaConjClass, cutoff: int):
                 if ctx.length(ys) != ctx.length(y) + 1 or ys in qs or \
                         ctx.length(ys) > cutoff:
                     continue
-                qq = _left_mul_gen(ctx, H, q, g)
-                qq = H.mul_gen(qq, g)
+                qq = H.mul_gen(H.left_mul_gen(q, g), g)
                 qs[ys] = qq
                 new.append(ys)
                 out |= H.support(qq)
@@ -714,19 +710,6 @@ def superset(ctx: AffineWeyl, cls: SigmaConjClass, cutoff: int):
         for z in out:
             full.add(ctx.mul(ctx.mul(ti, z), tau))
     return full
-
-
-def _left_mul_gen(ctx: AffineWeyl, H: Hecke, h: dict, g: int) -> dict:
-    from .hecke import poly_q, poly_qm1
-    out: dict[int, int] = {}
-    for u, c in h.items():
-        su = ctx.mul(g, u)
-        if ctx.length(su) > ctx.length(u):
-            out[su] = out.get(su, 0) + c
-        else:
-            out[u] = out.get(u, 0) + poly_qm1(c)
-            out[su] = out.get(su, 0) + poly_q(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

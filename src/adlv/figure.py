@@ -32,8 +32,7 @@ def drawing_basis(datum):
         if d != 2:
             raise ValueError("rank-2 drawing only")
         bas = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    gram = [[sum(datum.pairing_cov(datum.roots[k], bas[i])
-                 * datum.pairing_cov(datum.roots[k], bas[i2])
+    gram = [[sum(datum.pairing(k, bas[i]) * datum.pairing(k, bas[i2])
                  for k in range(len(datum.roots)))
              for i2 in range(2)] for i in range(2)]
     return bas, gram
@@ -65,8 +64,8 @@ def alcove_polygon(ctx: AffineWeyl, xid: int):
     verts = base_alcove_vertices(datum)
     out = []
     for v in verts:
-        img = datum.weyl.apply_frac(w, v)
-        pt = tuple(Fraction(a) + b for a, b in zip(lam, img))
+        img = datum.weyl.apply(w, v)
+        pt = tuple(a + b for a, b in zip(lam, img))
         out.append(plane_coords(datum, pt))
     return out
 
@@ -154,8 +153,8 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
 def _clip_hyperplane(datum, bas, root_idx, level, minx, maxx, miny, maxy, E):
     """Intersect {alpha = level} with the drawing window, in pre-scale xy."""
     # alpha(c1 * bas1 + c2 * bas2) = level: a line in (c1, c2)
-    a1 = datum.pairing_cov(datum.roots[root_idx], bas[0])
-    a2 = datum.pairing_cov(datum.roots[root_idx], bas[1])
+    a1 = datum.pairing(root_idx, bas[0])
+    a2 = datum.pairing(root_idx, bas[1])
     pts = []
     # param by c1 or c2; sample generously beyond the window and clip via bbox
     big = 40

@@ -124,6 +124,20 @@ class Hecke:
                 out[us] = out.get(us, 0) + poly_q(c)
         return out
 
+    def left_mul_gen(self, h: dict, g: int) -> dict:
+        """T_s * h for a generator element s (must have length 1)."""
+        ctx = self.ctx
+        ln = self._len
+        out: dict[int, int] = {}
+        for u, c in h.items():
+            su = ctx.mul(g, u)
+            if ln(su) > ln(u):
+                out[su] = out.get(su, 0) + c
+            else:
+                out[u] = out.get(u, 0) + poly_qm1(c)
+                out[su] = out.get(su, 0) + poly_q(c)
+        return out
+
     def mul_omega(self, h: dict, tau: int) -> dict:
         if tau == self.ctx.identity:
             return dict(h)
@@ -173,12 +187,6 @@ class Hecke:
     def t(self, xid: int) -> dict:
         return {xid: POLY_ONE}
 
-    def product_of(self, xids) -> dict:
-        out = self.unit()
-        for x in xids:
-            out = self.mul_basis(out, x)
-        return out
-
     def structure_constant(self, xid: int, yid: int, zid: int) -> int:
         """C(x, y, z) as a packed polynomial (0 if absent)."""
         prod = self.mul_basis(self.t(xid), yid)
@@ -194,7 +202,10 @@ class Hecke:
 
     def coset_product_support(self, xids):
         """Support of T_{x_1} ... T_{x_r}: the double cosets in the product set."""
-        return self.support(self.product_of(xids))
+        out = self.unit()
+        for x in xids:
+            out = self.mul_basis(out, x)
+        return self.support(out)
 
     def specialize(self, h: dict, q: int) -> dict:
         return {u: poly_eval(c, q) for u, c in h.items() if poly_eval(c, q) != 0}

@@ -147,10 +147,6 @@ class WeylGroup:
         mul = operator.mul
         return tuple(sum(map(mul, row, vec)) for row in self.mats[w])
 
-    def apply_frac(self, w: int, vec):
-        m = self.mats[w]
-        return tuple(sum(Fraction(m[a][b]) * vec[b] for b in range(self.d)) for a in range(self.d))
-
     def mul(self, a: int, b: int) -> int:
         key = (a, b)
         got = self._mul_cache.get(key)
@@ -187,9 +183,10 @@ class RootDatum:
         variant = _canonical_variant(ctype, variant)
         self.spec = DatumSpec(ctype, rank, variant)
         # lazily filled memo tables (see base_point, reflection_index,
-        # semistandard_parabolics and affine.affine_context)
+        # levi_average, semistandard_parabolics and affine.affine_context)
         self._base_point = None
         self._refl_cache: dict[int, int] = {}
+        self._levi_averages: dict[frozenset, tuple] = {}
         self._parabolics: tuple | None = None
         self._context = None
         if ctype == "GL":
@@ -327,7 +324,7 @@ class RootDatum:
                 raise RuntimeError("<2rho, alpha^vee> must be even")
         p = self.base_point()
         for i in range(len(self.roots)):
-            v = self.pairing_frac(i, p)
+            v = self.pairing(i, p)
             if v.denominator == 1:
                 raise RuntimeError("base point must be generic")
             if i < self.nposroots and not 0 < v < 1:
@@ -351,15 +348,9 @@ class RootDatum:
         n = self.d
         return tuple(Fraction(x) - s / n for x in vec)
 
-    def pairing(self, root_idx: int, vec) -> int:
+    def pairing(self, root_idx: int, vec):
+        """<root, vec>, exact on integer and Fraction vectors alike."""
         return sum(map(operator.mul, self.roots[root_idx], vec))
-
-    def pairing_frac(self, root_idx: int, vec) -> Fraction:
-        r = self.roots[root_idx]
-        return sum(Fraction(r[j]) * vec[j] for j in range(self.d))
-
-    def pairing_cov(self, cov, vec):
-        return sum(Fraction(cov[j]) * vec[j] for j in range(self.d))
 
     def base_point(self):
         """A generic interior point of the base alcove, as exact fractions."""
@@ -416,15 +407,15 @@ class RootDatum:
         while moved:
             moved = False
             for i, ri in enumerate(self.simple_idx):
-                if self.pairing_frac(ri, v) < 0:
-                    c = self.pairing_frac(ri, v)
+                c = self.pairing(ri, v)
+                if c < 0:
                     cr = self.coroots[ri]
                     v = [x - c * cr[j] for j, x in enumerate(v)]
                     moved = True
         return self.coweight_nf_frac(v)
 
     def is_dominant(self, vec) -> bool:
-        return all(self.pairing_frac(ri, vec) >= 0 for ri in self.simple_idx)
+        return all(self.pairing(ri, vec) >= 0 for ri in self.simple_idx)
 
     def in_positive_coroot_cone(self, vec) -> bool:
         """Is vec a nonnegative rational combination of the simple coroots?"""
@@ -479,6 +470,21 @@ class RootDatum:
                         new.append(v)
             frontier = new
         return frozenset(seen)
+
+    def levi_average(self, root_idxs) -> tuple:
+        """
+        (|W_M|, A) for the Levi M with the given root set: A is the integer
+        matrix sum_{w in W_M} w, so A lam = |W_M| times the W_M-average of
+        lam.  Memoized by root set.
+        """
+        key = frozenset(root_idxs)
+        got = self._levi_averages.get(key)
+        if got is None:
+            mats = [self.weyl.mats[w] for w in self.reflection_subgroup(key)]
+            total = tuple(tuple(sum(m[a][b] for m in mats) for b in range(self.d))
+                          for a in range(self.d))
+            got = self._levi_averages[key] = (len(mats), total)
+        return got
 
     def json_descriptor(self) -> dict:
         return {"type": self.spec.ctype, "rank": self.spec.rank,

@@ -27,6 +27,7 @@ build a class through one constructor, memoized on the context by
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ def newton_point(ctx: AffineWeyl, xid: int):
 
 def home_parabolic_of(datum: RootDatum, nu) -> frozenset:
     """Simple roots vanishing on nu (the Levi of the home parabolic)."""
-    return frozenset(ri for ri in datum.simple_idx if datum.pairing_frac(ri, nu) == 0)
+    return frozenset(ri for ri in datum.simple_idx if datum.pairing(ri, nu) == 0)
 
 
 def is_basic(datum: RootDatum, c: SigmaConjClass) -> bool:
@@ -83,14 +84,14 @@ def levi_classes_with_newton(datum: RootDatum, m_root_idxs, nu):
     Returns a set of integer tuples, empty when no class has Newton point nu.
     """
     nu = datum.coweight_nf_frac(nu)
-    m1_roots = frozenset(i for i in m_root_idxs if datum.pairing_frac(i, nu) == 0)
+    m1_roots = frozenset(i for i in m_root_idxs if datum.pairing(i, nu) == 0)
     d = datum.d
-    mats = [datum.weyl.mats[w] for w in datum.reflection_subgroup(m1_roots)]
-    denom = math.lcm(len(mats), *(Fraction(v).denominator for v in nu))
-    scale = denom // len(mats)
+    order, avg = datum.levi_average(m1_roots)
+    denom = math.lcm(order, *(v.denominator for v in nu))
+    scale = denom // order
     # row j: denom * average(e_j), as |W_{M_1}| * average(e_j) is column j
-    # of the sum of the matrices
-    mat = [[scale * sum(m[t][j] for m in mats) for t in range(d)] for j in range(d)]
+    # of the averaging matrix
+    mat = [[scale * avg[t][j] for t in range(d)] for j in range(d)]
     central = datum.central or (0,) * d
     for k in ([0] if datum.central is None else range(d)):
         target = [v * denom + Fraction(k * denom, d) * c for v, c in zip(nu, central)]
@@ -195,6 +196,11 @@ def enumerate_classes(ctx: AffineWeyl, bound: int):
     are the Lambda_M-values whose averaged vector is strictly positive on the
     simple roots outside M; these are scanned through the normal forms of
     Lambda_M with free coordinates in a window sized by the bound.
+
+    Both tests run on the integer vector acc = |W_M| * average, from
+    levi_average: |W_M| > 0, and the central shift of coweight_nf_frac is
+    invisible to the roots and to 2 rho.  Only the survivors are lifted and
+    get their Newton point in Fractions.
     """
     datum = ctx.datum
     out = {}
@@ -205,20 +211,19 @@ def enumerate_classes(ctx: AffineWeyl, bound: int):
     for home in subsets:
         p = standard_parabolic(datum, home)
         lat = p.lattice
-        wm = sorted(p.w_m)
+        order, avg = datum.levi_average(p.r_m)
+        # acc = avg . lift(nf) as one integer matrix on the normal form, as
+        # lift(nf)[j] = sum_i nf[i] * Vinv[i][j]
+        avg_lift = [[sum(map(operator.mul, row, vrow)) for vrow in lat.Vinv]
+                    for row in avg]
         outside = [ri for ri in datum.simple_idx if ri not in home]
         for nf in lat.window(box):
+            acc = [sum(map(operator.mul, row, nf)) for row in avg_lift]
+            if any(datum.pairing(ri, acc) <= 0 for ri in outside) or \
+                    pair_two_rho(datum, acc) > bound * order:
+                continue
             lam = lat.lift(nf)
-            acc = [0] * datum.d
-            for w in wm:
-                img = datum.weyl.apply(w, lam)
-                acc = [a + b for a, b in zip(acc, img)]
-            nu = datum.coweight_nf_frac(tuple(Fraction(a, len(wm)) for a in acc))
-            if any(datum.pairing_frac(ri, nu) <= 0 for ri in outside):
-                continue
-            tw = pair_two_rho(datum, nu)
-            if tw > bound:
-                continue
+            nu = datum.coweight_nf_frac(tuple(Fraction(a, order) for a in acc))
             kappa = datum.lambda_g.normal_form(lam)
             c = SigmaConjClass(nu, kappa, home, lat.normal_form(lam))
             out.setdefault(c.key(), c)

@@ -204,6 +204,35 @@ def test_bruhat_against_subword_oracle(c2_ctx):
             assert ctx.bruhat_leq(x, y) == brute_bruhat_leq(ctx, x, y)
 
 
+def test_bruhat_against_subword_oracle_property():
+    # y = word * tau^k with ell(y) <= 6; x is the product of a subword of a
+    # reduced word of y times its tau (so x <= y), or an element drawn the
+    # same way as y (mostly incomparable, often in another component)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    word = st.lists(st.integers(0, 10), max_size=6)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from([("A", 2, "SL"), ("C", 2, ""), ("GL", 3, "")]),
+               word, st.integers(-2, 2), st.booleans(), st.integers(0, 63),
+               word, st.integers(-2, 2))
+    def check(spec, yword, yk, from_y, mask, xword, xk):
+        ctx = affine_context(build_root_datum(*spec))
+        r = len(ctx.gens)
+        y = ctx.from_word([g % r for g in yword], ctx.parse(f"tau^{yk}"))
+        if from_y:
+            red, tau = ctx.reduced_word(y)
+            x = ctx.from_word([g for i, g in enumerate(red) if mask >> i & 1], tau)
+        else:
+            x = ctx.from_word([g % r for g in xword], ctx.parse(f"tau^{xk}"))
+        want = brute_bruhat_leq(ctx, x, y)
+        assert ctx.bruhat_leq(x, y) == want
+        if from_y:
+            assert want
+
+    check()
+
+
 def test_bruhat_needs_same_component(c2_ctx):
     ctx = c2_ctx
     om = ctx.omega_g_elements()

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -205,6 +207,8 @@ def test_usage_error_exit_code():
 
 A2 = ["--type", "A", "--rank", "2", "--variant", "SL"]
 C2 = ["--type", "C", "--rank", "2"]
+# a path under a file, which no one can create
+UNWRITABLE = os.path.join(os.devnull, "x.out")
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,11 +227,20 @@ C2 = ["--type", "C", "--rank", "2"]
     ["survey", *C2, "--class-key", "trivial", "--max-len", "2", "--jobs", "0"],
     ["figure", *C2, "--class-key", "trivial", "--max-len", "-2", "--out", os.devnull],
     ["classes", *C2, "--bound", "-1"],
+    ["survey", *C2, "--class-key", "trivial", "--max-len", "2", "--out", UNWRITABLE],
+    ["figure", *C2, "--class-key", "trivial", "--max-len", "2", "--out", UNWRITABLE],
+    ["figure", *C2, "--class-key", "trivial", "--max-len", "2", "--out", os.devnull,
+     "--tsv", UNWRITABLE],
+    ["query", *C2, "--class-key", "trivial", "--x", "s1", "--cache-dir", os.devnull],
+    ["survey", *C2, "--class-key", "trivial", "--max-len", "2",
+     "--cache-dir", os.devnull],
 ], ids=["bad-generator", "short-translation", "short-class-key", "bad-type",
         "short-omega", "omega-not-normal-form", "omega-unit-modulus",
         "class-key-no-class", "class-key-not-dominant", "negative-cutoff",
         "survey-negative-cutoff", "negative-max-len", "jobs-below-1",
-        "figure-negative-max-len", "negative-bound"])
+        "figure-negative-max-len", "negative-bound", "survey-out-unwritable",
+        "figure-out-unwritable", "figure-tsv-unwritable", "query-cache-dir-is-file",
+        "survey-cache-dir-is-file"])
 def test_bad_input_is_one_line_and_exit_1(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -280,3 +293,25 @@ def _raises_assertion_error(node):
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_layertrace_binds_existing_names():
+    # bench/layertrace.py wraps functions by (module, class, attribute); a
+    # name renamed or deleted in adlv would make --trace 1 fail, so every
+    # name its tables bind must exist
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", os.path.join(root, "bench", "layertrace.py"))
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    binds = [entry[:3] for entry in trace.TIMED + trace.COUNTED]
+    binds.append(("adlv.cli", None, "_survey_worker"))
+    assert len(binds) > 20
+    missing = []
+    for module, cls, attr in binds:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append((module, cls, attr))
+    assert missing == []

@@ -128,7 +128,7 @@ def test_dim_stratum_translation_case(a2_ctx):
     lam = (2, 1, -3)
     x = ctx.from_translation(lam)
     cls = sg.classify(ctx, x)
-    assert eng.dim_stratum(ctx, x, cls, ctx.identity) == 0
+    assert dim_stratum(ctx, x, cls, ctx.identity) == 0
 
 
 def test_dim_stratum_basic_has_no_correction(c2_ctx):
@@ -139,7 +139,7 @@ def test_dim_stratum_basic_has_no_correction(c2_ctx):
     x = ctx.from_word((1, 2, 1))
     for w in ball_with_omega(ctx, 3):
         t = eng.orbit_dim_table(ctx, x, full_parabolic(ctx.datum), w)
-        d = eng.dim_stratum(ctx, x, cls, w, table=t)
+        d = dim_stratum(ctx, x, cls, w, table=t)
         if d is not None:
             assert d >= 0
             return
@@ -305,6 +305,15 @@ def test_predictors_agree_on_shrunken_alcoves(c2_ctx):
             assert (levi_status == "empty") == (shr_status == "empty"), ctx.format(x)
 
 
+def dim_stratum(ctx, xid, cls, wid, table=None):
+    """dim(X_x(b) cap I_P w.a) from one orbit_dim_table, or None when empty."""
+    b, p, corr2 = eng.class_data(ctx, cls)
+    if table is None:
+        table = eng.orbit_dim_table(ctx, xid, p, wid, "periodic")
+    got = table.get(ctx.conj(ctx.inv(wid), b))
+    return None if got is None else eng.stratum_value(got, corr2)
+
+
 def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
     """
     The per-w solver the sweep kernel replaced, kept as an independent route:
@@ -323,7 +332,7 @@ def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
         table = eng.orbit_dim_table(ctx, x, p, w, "periodic")
         if ctx.mul(ctx.mul(ctx.inv(w), b), w) not in table:
             continue
-        val = eng.dim_stratum(ctx, x, cls, w, table)
+        val = dim_stratum(ctx, x, cls, w, table)
         if best is None or val > best:
             best, best_w = val, w
             if stop_at_first:
@@ -368,6 +377,37 @@ def test_survey_matches_single_solve(c2_ctx, gl2_ctx, gl3_ctx):
             want = reference_solve(ctx, x, cls, cutoff)
             assert outcome(batch[x]) == want, ctx.format(x)
             assert outcome(eng.solve(ctx, x, cls, cutoff=cutoff)) == want
+
+
+@pytest.mark.parametrize("spec,key,max_len", [
+    (("GL", 2, ""), "trivial", 10),
+    (("GL", 2, ""), "nu=[1,0];kappa=[0,1]", 10),
+    (("GL", 3, ""), "trivial", 5),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 5),
+    (("GL", 3, ""), "nu=[1/2,1/2,0];kappa=[0,0,1]", 6),
+])
+def test_gl_omega_window_sets_only_the_witness(monkeypatch, spec, key, max_len):
+    # the GL Omega window (spread |translation| + 2) is a witness rule, not a
+    # search bound: widened to spread + 6, no status and no dim moves
+    ctx = affine_context(RootDatum(*spec))
+    datum = ctx.datum
+    cls = parse_class_key(ctx, key)
+    xs = survey_elements(ctx, cls, max_len)
+    cutoff = max_len + 2 * eng.coxeter_number(datum)
+    narrow = eng.survey_batch(ctx, cls, xs, cutoff)
+    p_full = full_parabolic(datum)
+
+    def wide_window(ctx, cls, xids):
+        spread = max([2] + [max(map(abs, ctx.translation(x))) + 2 for x in xids]) + 6
+        return [ctx.omega_element(p_full, nf) for nf in datum.lambda_g.window(spread)]
+
+    b = sg.standard_representative(ctx, cls)
+    assert set(eng.omega_window(ctx, cls, [b])) < set(wide_window(ctx, cls, [b]))
+    monkeypatch.setattr(eng, "omega_window", wide_window)
+    wide = eng.survey_batch(ctx, cls, xs, cutoff)
+    assert any(r.nonempty for r in narrow.values())
+    assert {x: (r.status, r.dim) for x, r in wide.items()} == \
+        {x: (r.status, r.dim) for x, r in narrow.items()}
 
 
 def _reference_sweep(ctx, cutoff, omegas):
@@ -824,7 +864,7 @@ def test_fold_step_matches_reference(spec):
 def _targets_from_scratch(datum, p, cls, kappa_filter):
     # the Newton orbit and the Levi classes recomputed without any memo
     W = datum.weyl
-    orbit = {datum.coweight_nf_frac(W.apply_frac(w, cls.newton)) for w in W.elements()}
+    orbit = {datum.coweight_nf_frac(W.apply(w, cls.newton)) for w in W.elements()}
     out = set()
     for nu in orbit:
         for lam in sg.levi_classes_with_newton(datum, p.r_m, nu):

@@ -91,6 +91,49 @@ def test_bound_zero_is_lambda_g(a2_ctx, c2_ctx, gl3_ctx):
     assert len({c.kappa for c in cls}) == len(cls) >= 3
 
 
+def reference_enumerate_classes(ctx, bound):
+    """
+    The earlier scan, kept as a reference for enumerate_classes: per normal
+    form, the average over W_M one Weyl element at a time, then both tests
+    on the Newton point in Fractions.
+    """
+    datum = ctx.datum
+    out = {}
+    subsets = [frozenset()]
+    for ri in datum.simple_idx:
+        subsets = subsets + [s | {ri} for s in subsets]
+    for home in subsets:
+        p = standard_parabolic(datum, home)
+        lat = p.lattice
+        outside = [ri for ri in datum.simple_idx if ri not in home]
+        for nf in lat.window(bound + 2):
+            lam = lat.lift(nf)
+            acc = [Fraction(0)] * datum.d
+            for w in p.w_m:
+                acc = [a + b for a, b in zip(acc, datum.weyl.apply(w, lam))]
+            nu = datum.coweight_nf_frac(tuple(a / len(p.w_m) for a in acc))
+            if any(datum.pairing(ri, nu) <= 0 for ri in outside):
+                continue
+            if sum(Fraction(t) * v for t, v in zip(datum.two_rho, nu)) > bound:
+                continue
+            c = sg.SigmaConjClass(nu, datum.lambda_g.normal_form(lam), home,
+                                  lat.normal_form(lam))
+            out.setdefault(c.key(), c)
+    return sorted(out.values(), key=lambda c: (pair_two_rho(datum, c.newton), c.key()))
+
+
+@pytest.mark.parametrize("spec,bound", [(("A", 2, "SL"), 6), (("C", 2, ""), 6),
+                                        (("G", 2, ""), 8), (("GL", 3, ""), 4),
+                                        (("GL", 4, ""), 2), (("D", 4, ""), 3)])
+def test_enumerate_classes_matches_fraction_scan(spec, bound):
+    # the integer averaging matrix against the per-element Fraction scan:
+    # same classes, same home data, same order
+    ctx = affine_context(build_root_datum(*spec))
+    got = sg.enumerate_classes(ctx, bound)
+    assert len(got) > 1
+    assert got == reference_enumerate_classes(ctx, bound)
+
+
 def test_gl3_duality_closure(gl3_ctx):
     ctx = gl3_ctx
     datum = ctx.datum
@@ -98,7 +141,7 @@ def test_gl3_duality_closure(gl3_ctx):
     keys = {c.key() for c in cls}
     w0 = datum.weyl.w0
     for c in cls:
-        dual_nu = datum.dominant(tuple(-v for v in datum.weyl.apply_frac(w0, c.newton)))
+        dual_nu = datum.dominant(tuple(-v for v in datum.weyl.apply(w0, c.newton)))
         dual_kappa = datum.lambda_g.neg(c.kappa)
         dual = sg.class_from_invariants(datum, dual_nu, dual_kappa)
         assert dual.key() in keys
@@ -258,7 +301,7 @@ def reference_levi_classes(datum, m_root_idxs, nu):
     integer kernel basis added to each solution.
     """
     nu = datum.coweight_nf_frac(nu)
-    m1 = frozenset(i for i in m_root_idxs if datum.pairing_frac(i, nu) == 0)
+    m1 = frozenset(i for i in m_root_idxs if datum.pairing(i, nu) == 0)
     wm1 = sorted(datum.reflection_subgroup(m1))
     d, n = datum.d, len(wm1)
     cols = []
