@@ -180,24 +180,30 @@ class AffineWeyl:
     def reduced_word(self, xid: int) -> tuple[tuple[int, ...], int]:
         """(word, tau): x = s_{i_1} ... s_{i_r} tau with ell(tau) = 0."""
         got = self._word.get(xid)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._word[xid] = self.peel_descents(xid, self.gens, self.length)
+        return got
+
+    def peel_descents(self, xid: int, gens, length) -> tuple[tuple[int, ...], int]:
+        """
+        (word, tau) with x = g_{i_1} ... g_{i_r} tau and length(tau) = 0, for
+        the generators gens and a length function: each step takes off the
+        first generator that shortens.  Also serves a Levi's Hecke algebra.
+        """
         word = []
         cur = xid
-        n = self.length(cur)
+        n = length(cur)
         while n > 0:
-            for i, g in enumerate(self.gens):
+            for i, g in enumerate(gens):
                 nxt = self.mul(g, cur)
-                ln = self.length(nxt)
+                ln = length(nxt)
                 if ln < n:
                     word.append(i)
                     cur, n = nxt, ln
                     break
             else:
                 raise RuntimeError("no descent found")
-        got = (tuple(word), cur)
-        self._word[xid] = got
-        return got
+        return tuple(word), cur
 
     def from_word(self, word, tau: int | None = None) -> int:
         out = self.identity

@@ -372,10 +372,10 @@ def cmd_figure(args, out=sys.stdout):
         raise SystemExit("adlv: figures need a rank-2 type (A2, B2, C2, G2)")
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
-    # open the outputs first, so that a path that cannot be written fails
-    # before the sweep
-    svg = open(args.out, "w", encoding="utf-8")
-    tsv = open(args.tsv, "w", encoding="utf-8") if args.tsv else None
+    # check that every output opens before the sweep, in append mode, so
+    # that one bad path fails first and leaves the other file as it was
+    for path in [args.out] + ([args.tsv] if args.tsv else []):
+        open(path, "a", encoding="utf-8").close()
     xs = survey_elements(ctx, cls, args.max_len)
     cutoff = args.cutoff if args.cutoff is not None else (
         args.max_len + 2 * eng.coxeter_number(datum))
@@ -383,11 +383,11 @@ def cmd_figure(args, out=sys.stdout):
     records = [{"x": x, "status": results[x].status, "dim": results[x].dim}
                for x in xs]
     from .figure import render_svg, render_tsv
-    with svg:
-        svg.write(render_svg(ctx, records))
-    if tsv is not None:
-        with tsv:
-            tsv.write(render_tsv(ctx, records))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(render_svg(ctx, records))
+    if args.tsv:
+        with open(args.tsv, "w", encoding="utf-8") as fh:
+            fh.write(render_tsv(ctx, records))
     print(f"wrote {args.out}" + (f" and {args.tsv}" if args.tsv else ""), file=out)
     return 0
 

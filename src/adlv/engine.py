@@ -83,7 +83,7 @@ from typing import NamedTuple
 from .affine import AffineWeyl
 from .alcoves import is_p_alcove, newton_vector, pair_two_rho
 from .hecke import Hecke, poly_deg
-from .roots import SemistdParabolic, semistandard_parabolics, standard_parabolic
+from .roots import SemistdParabolic, closure, semistandard_parabolics, standard_parabolic
 from .sigma import (SigmaConjClass, fundamental_representative, is_basic,
                     levi_classes_with_newton, standard_representative)
 
@@ -248,20 +248,25 @@ def p_alcove_parabolics(ctx: AffineWeyl, xid: int):
             yield p
 
 
-def necessary_condition(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
+def necessary_condition(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
+                        kappa_filter: bool = False):
     """
     The non-emptiness obstruction (a theorem): returns None when the test
     passes, else a Certificate.  Checks the component map, then, for every
     semistandard P = MN with x.a a P-alcove, membership of eta_M(x) in the
-    eta_M-values allowed by the Newton point of the class.
+    eta_M-values allowed by the Newton point of the class.  With
+    kappa_filter (for basic classes) the values are those of the class over
+    M, the component condition relative to each Levi.
     """
     if ctx.omega_class(xid) != cls.kappa:
         return Certificate("component", None, "kappa(x) != kappa(b)")
     for p in p_alcove_parabolics(ctx, xid):
-        targets = levi_eta_targets(ctx, p, cls, kappa_filter=False)
+        targets = levi_eta_targets(ctx, p, cls, kappa_filter=kappa_filter)
         if p.eta_m(ctx.translation(xid)) not in targets:
-            return Certificate("levi-obstruction", p.key(),
-                               "eta_M(x) not an eta_M-value over the Newton orbit")
+            detail = ("eta_M(x) not an eta_M-value over the Newton orbit" if not kappa_filter
+                      else "eta_M mismatch with the class over M" if targets
+                      else "class does not meet the Levi")
+            return Certificate("levi-obstruction", p.key(), detail)
     return None
 
 
@@ -274,17 +279,8 @@ def predict_levi(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     """
     if not is_basic(ctx.datum, cls):
         raise ValueError("the P-alcove prediction applies to basic classes")
-    if ctx.omega_class(xid) != cls.kappa:
-        return "empty", Certificate("component", None, "kappa(x) != kappa(b)")
-    for p in p_alcove_parabolics(ctx, xid):
-        targets = levi_eta_targets(ctx, p, cls, kappa_filter=True)
-        if not targets:
-            return "empty", Certificate("levi-obstruction", p.key(),
-                                        "class does not meet the Levi")
-        if p.eta_m(ctx.translation(xid)) not in targets:
-            return "empty", Certificate("levi-obstruction", p.key(),
-                                        "eta_M mismatch with the class over M")
-    return "nonempty-predicted", None
+    cert = necessary_condition(ctx, xid, cls, kappa_filter=True)
+    return ("nonempty-predicted", None) if cert is None else ("empty", cert)
 
 
 def emptiness_certificate(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
@@ -296,9 +292,7 @@ def emptiness_certificate(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     """
     cert = necessary_condition(ctx, xid, cls)
     if cert is None and is_basic(ctx.datum, cls):
-        status, cert2 = predict_levi(ctx, xid, cls)
-        if status == "empty":
-            return cert2
+        return necessary_condition(ctx, xid, cls, kappa_filter=True)
     return cert
 
 
@@ -344,20 +338,9 @@ def default_cutoff(ctx: AffineWeyl, xid: int, cls: SigmaConjClass) -> int:
 
 def affine_ball(ctx: AffineWeyl, max_len: int):
     """All elements of the affine Weyl group (no omega part) of length <= max_len."""
-    seen = {ctx.identity: 0}
-    frontier = [ctx.identity]
-    while frontier:
-        new = []
-        for u in frontier:
-            for g in ctx.gens:
-                v = ctx.mul(u, g)
-                if v not in seen:
-                    ln = ctx.length(v)
-                    if ln <= max_len:
-                        seen[v] = ln
-                        new.append(v)
-        frontier = new
-    return seen
+    ball = closure([ctx.identity], lambda u: [
+        v for v in (ctx.mul(u, g) for g in ctx.gens) if ctx.length(v) <= max_len])
+    return {v: ctx.length(v) for v in ball}
 
 
 def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
@@ -698,7 +681,7 @@ def superset(ctx: AffineWeyl, cls: SigmaConjClass, cutoff: int):
                 if ctx.length(ys) != ctx.length(y) + 1 or ys in qs or \
                         ctx.length(ys) > cutoff:
                     continue
-                qq = H.mul_gen(H.left_mul_gen(q, g), g)
+                qq = H.mul_gen(H.mul_gen(q, g, left=True), g)
                 qs[ys] = qq
                 new.append(ys)
                 out |= H.support(qq)
@@ -767,17 +750,11 @@ def solve_levi_basic(ctx: AffineWeyl, p: SemistdParabolic, yid: int, bid: int,
     H = Hecke(ctx, gens=gens, length=lenf)
     # affine ball of the Levi, then all components of its omega group within
     # a translation window sized by the inputs
-    ball = {ctx.identity}
-    frontier = [ctx.identity]
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in gens:
-                u = ctx.mul(v, g)
-                if u not in ball and lenf(u) == lenf(v) + 1 and lenf(u) <= cutoff:
-                    ball.add(u)
-                    new.append(u)
-        frontier = new
+    def up(v):
+        longer = lenf(v) + 1
+        return [u for u in (ctx.mul(v, g) for g in gens) if lenf(u) == longer <= cutoff]
+
+    ball = closure([ctx.identity], up)
     spread = 2 + max(max(abs(t) for t in ctx.translation(yid)),
                      max(abs(t) for t in ctx.translation(bid)))
     omegas = [ctx.omega_element(p, nf) for nf in p.lattice.window(spread)]

@@ -110,32 +110,18 @@ class Hecke:
             xid = self.ctx.identity
         return {xid: POLY_ONE}
 
-    def mul_gen(self, h: dict, g: int) -> dict:
-        """h * T_s for a generator element s (must have length 1)."""
+    def mul_gen(self, h: dict, g: int, left: bool = False) -> dict:
+        """h * T_s, or T_s * h when left, for a generator element s (of length 1)."""
         ctx = self.ctx
         ln = self._len
         out: dict[int, int] = {}
         for u, c in h.items():
-            us = ctx.mul(u, g)
+            us = ctx.mul(g, u) if left else ctx.mul(u, g)
             if ln(us) > ln(u):
                 out[us] = out.get(us, 0) + c
             else:
                 out[u] = out.get(u, 0) + poly_qm1(c)
                 out[us] = out.get(us, 0) + poly_q(c)
-        return out
-
-    def left_mul_gen(self, h: dict, g: int) -> dict:
-        """T_s * h for a generator element s (must have length 1)."""
-        ctx = self.ctx
-        ln = self._len
-        out: dict[int, int] = {}
-        for u, c in h.items():
-            su = ctx.mul(g, u)
-            if ln(su) > ln(u):
-                out[su] = out.get(su, 0) + c
-            else:
-                out[u] = out.get(u, 0) + poly_qm1(c)
-                out[su] = out.get(su, 0) + poly_q(c)
         return out
 
     def mul_omega(self, h: dict, tau: int) -> dict:
@@ -158,21 +144,7 @@ class Hecke:
     def reduced(self, yid: int):
         if self.gens == self.ctx.gens:
             return self.ctx.reduced_word(yid)
-        # Levi context: peel descents with the supplied generators
-        word = []
-        cur = yid
-        n = self._len(cur)
-        while n > 0:
-            for i, g in enumerate(self.gens):
-                nxt = self.ctx.mul(g, cur)
-                ln = self._len(nxt)
-                if ln < n:
-                    word.append(i)
-                    cur, n = nxt, ln
-                    break
-            else:
-                raise RuntimeError("no descent in Levi context")
-        return tuple(word), cur
+        return self.ctx.peel_descents(yid, self.gens, self._len)
 
     def mul(self, h1: dict, h2: dict) -> dict:
         out: dict[int, int] = {}

@@ -67,81 +67,88 @@ def cartan_matrix(ctype: str, rank: int):
     return a
 
 
+def closure(seeds, step) -> list:
+    """
+    Everything reachable from the seeds under step, in breadth-first order.
+
+    The list starts with the seeds, duplicates dropped, and then holds each
+    new element in the order step first yields it, with the elements taken
+    in list order.  That order is a guarantee, not an accident: element ids
+    (the index of a Weyl element, and so W.words) and every sweep built on
+    a closure depend on it.  step(x) returns an iterable of elements.
+    """
+    out = list(dict.fromkeys(seeds))
+    seen = set(out)
+    for x in out:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+def _reflect(vec, form, image):
+    """vec - <form, vec> image: a reflection, on coweights or on roots."""
+    c = sum(map(operator.mul, form, vec))
+    return tuple(x - c * y for x, y in zip(vec, image))
+
+
+def _compose(a, b):
+    """The permutation a o b, as a tuple of images."""
+    return tuple(map(a.__getitem__, b))
+
+
 class WeylGroup:
     """Finite Weyl group, fully enumerated and indexed.
 
-    Elements are indices into ``self.mats`` (integer matrices acting on
-    coweight column vectors).  Tables:
+    An element is its permutation of the coroot indices, ``root_act[w]``
+    (the same as its permutation of the root indices), and the elements are
+    numbered in breadth-first order from the simple reflections.  Tables:
 
       * ``root_act[w][r]``: index of w(beta_r) among the roots
+      * ``mats[w]``: integer matrix of w on coweight column vectors
+      * ``words[w]``: a reduced word (simple indices 0..r-1)
       * ``lmul[i][w]`` / ``rmul[w][i]``: products s_i * w and w * s_i
       * ``inv[w]``, ``length[w]``
     """
 
-    def __init__(self, d, roots, coroots, simple_idx, nf):
-        self.d = d
+    def __init__(self, roots, coroots, simple_idx):
+        self.d = d = len(coroots[0])
         self.simple_idx = simple_idx
-        r = len(simple_idx)
-        self.rank = r
-        gens = []
-        for i in simple_idx:
-            al, av = roots[i], coroots[i]
-            gens.append(tuple(tuple((1 if a == b else 0) - av[a] * al[b] for b in range(d))
-                              for a in range(d)))
-        ident = tuple(tuple(1 if a == b else 0 for b in range(d)) for a in range(d))
-        mats = [ident]
-        index = {self._key(ident, roots, coroots, nf): 0}
-        frontier = [0]
-        words = {0: ()}
-        while frontier:
-            new = []
-            for w in frontier:
-                for gi, g in enumerate(gens):
-                    m = self._matmul(g, mats[w])
-                    k = self._key(m, roots, coroots, nf)
-                    if k not in index:
-                        index[k] = len(mats)
-                        words[len(mats)] = (gi,) + words[w]
-                        mats.append(m)
-                        new.append(index[k])
-            frontier = new
-        self.mats = mats
-        self._index = index
+        self.rank = len(simple_idx)
         self._roots = roots
         self._coroots = coroots
-        self._nf = nf
-        self.n = len(mats)
-        self.words = words  # reduced words (as tuples of simple indices 0..r-1)
-        coroot_index = {tuple(c): i for i, c in enumerate(coroots)}
-        self.root_act = [tuple(coroot_index[self.apply(w, coroots[i])] for i in range(len(roots)))
-                         for w in range(self.n)]
-        self.lmul = [[self._index[self._key(self._matmul(gens[i], mats[w]), roots, coroots, nf)]
-                      for w in range(self.n)] for i in range(r)]
-        self.rmul = [[self._index[self._key(self._matmul(mats[w], gens[i]), roots, coroots, nf)]
-                      for i in range(r)] for w in range(self.n)]
-        self.inv = [0] * self.n
+        self._coroot_index = {c: i for i, c in enumerate(coroots)}
+        gens = [self.reflection_perm(i) for i in simple_idx]
+        self.root_act = closure([tuple(range(len(coroots)))],
+                                lambda p: [_compose(g, p) for g in gens])
+        self.n = len(self.root_act)
+        self.index = {p: w for w, p in enumerate(self.root_act)}
+        self.lmul = [[self.index[_compose(g, p)] for p in self.root_act] for g in gens]
+        self.rmul = [[self.index[_compose(p, g)] for g in gens] for p in self.root_act]
+        self.inv = [self.index[tuple(sorted(range(len(p)), key=p.__getitem__))]
+                    for p in self.root_act]
+        # the word and matrix of each element, from its breadth-first parent
+        self.words = {0: ()}
+        self.mats = [None] * self.n
+        self.mats[0] = tuple(tuple(int(a == b) for b in range(d)) for a in range(d))
         for w in range(self.n):
-            # words[w] = (i1..ik) with w = s_{i1}...s_{ik}; inverse is reversed
-            v = 0
-            for i in words[w]:
-                v = self.lmul[i][v]
-            self.inv[w] = v
+            for i, ri in enumerate(simple_idx):
+                v = self.lmul[i][w]
+                if v not in self.words:
+                    self.words[v] = (i,) + self.words[w]
+                    cols = [_reflect(col, roots[ri], coroots[ri]) for col in zip(*self.mats[w])]
+                    self.mats[v] = tuple(zip(*cols))
         npos = len(roots) // 2
         self.length = [sum(1 for i in range(npos) if self.root_act[w][i] >= npos)
                        for w in range(self.n)]
         self._mul_cache: dict[tuple[int, int], int] = {}
         self.w0 = max(range(self.n), key=lambda w: self.length[w])
 
-    @staticmethod
-    def _matmul(a, b):
-        n = len(a)
-        return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-                     for i in range(n))
-
-    def _key(self, m, roots, coroots, nf):
-        # matrices may differ by the central quotient; key by action on coroots
-        return tuple(nf(tuple(sum(m[a][b] * c[b] for b in range(self.d)) for a in range(self.d)))
-                     for c in coroots)
+    def reflection_perm(self, root_idx: int) -> tuple:
+        """The permutation of the coroot indices made by the reflection in a root."""
+        al, av = self._roots[root_idx], self._coroots[root_idx]
+        return tuple(self._coroot_index[_reflect(c, al, av)] for c in self._coroots)
 
     def apply(self, w: int, vec):
         mul = operator.mul
@@ -151,10 +158,8 @@ class WeylGroup:
         key = (a, b)
         got = self._mul_cache.get(key)
         if got is None:
-            v = b
-            for i in reversed(self.words[a]):
-                v = self.lmul[i][v]
-            self._mul_cache[key] = got = v
+            got = self._mul_cache[key] = self.index[_compose(self.root_act[a],
+                                                             self.root_act[b])]
         return got
 
     def order_of(self, w: int) -> int:
@@ -166,6 +171,11 @@ class WeylGroup:
 
     def elements(self):
         return range(self.n)
+
+
+SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+             ("C", 2), ("C", 3), ("D", 4), ("G", 2),
+             ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)}
 
 
 @dataclass(frozen=True)
@@ -181,6 +191,9 @@ class RootDatum:
     def __init__(self, ctype: str, rank: int, variant: str):
         ctype = ctype.upper()
         variant = _canonical_variant(ctype, variant)
+        # checked before any construction, whose cost grows fast with the rank
+        if (ctype, rank) not in SUPPORTED:
+            raise ValueError(f"unsupported type/rank {ctype}{rank}")
         self.spec = DatumSpec(ctype, rank, variant)
         # lazily filled memo tables (see base_point, reflection_index,
         # levi_average, semistandard_parabolics and affine.affine_context)
@@ -193,14 +206,10 @@ class RootDatum:
             self._build_type_a(rank, gl=True)
         elif ctype == "A":
             self._build_type_a(rank + 1, gl=False)
-        elif ctype in ("B", "C", "D", "G"):
-            self._build_from_cartan(ctype, rank, variant)
         else:
-            raise ValueError(f"unsupported Cartan type {ctype!r}")
-        self._check_support(ctype, rank)
+            self._build_from_cartan(ctype, rank, variant)
         self.nposroots = len(self.roots) // 2
-        self.weyl = WeylGroup(self.d, self.roots, self.coroots,
-                              self.simple_idx, self.coweight_nf)
+        self.weyl = WeylGroup(self.roots, self.coroots, self.simple_idx)
         expected = WEYL_ORDERS[("A" if ctype == "GL" else ctype)](
             rank - 1 if ctype == "GL" else rank)
         if self.weyl.n != expected:
@@ -259,37 +268,14 @@ class RootDatum:
             simple_roots = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
             simple_coroots = [tuple(a[i][j] for i in range(rank)) for j in range(rank)]
         self.central = None
-        roots = list(simple_roots)
-        coroots = list(simple_coroots)
-        seen = set(roots)
-        frontier = list(range(rank))
-        while frontier:
-            new = []
-            for ri in frontier:
-                for si in range(rank):
-                    al, av = simple_roots[si], simple_coroots[si]
-                    b, bv = roots[ri], coroots[ri]
-                    c = sum(b[t] * av[t] for t in range(rank))
-                    nb = tuple(b[t] - c * al[t] for t in range(rank))
-                    if nb not in seen:
-                        seen.add(nb)
-                        cv = sum(al[t] * bv[t] for t in range(rank))
-                        roots.append(nb)
-                        coroots.append(tuple(bv[t] - cv * av[t] for t in range(rank)))
-                        new.append(len(roots) - 1)
-            frontier = new
-        pos, neg, posv, negv = [], [], [], []
-        for r, c in zip(roots, coroots):
-            coeffs = self._alpha_coords(r, simple_roots)
-            if all(x >= 0 for x in coeffs):
-                pos.append(r)
-                posv.append(c)
-            else:
-                neg.append(r)
-                negv.append(c)
-        order = sorted(range(len(pos)), key=lambda i: pos[i])
-        self.roots = [pos[i] for i in order] + [tuple(-x for x in pos[i]) for i in order]
-        self.coroots = [posv[i] for i in order] + [tuple(-x for x in posv[i]) for i in order]
+        # (root, coroot) pairs, closed under the simple reflections
+        simple = list(zip(simple_roots, simple_coroots))
+        pairs = closure(simple, lambda rc: [(_reflect(rc[0], av, al), _reflect(rc[1], al, av))
+                                            for al, av in simple])
+        pos = sorted((r, c) for r, c in pairs
+                     if all(x >= 0 for x in self._alpha_coords(r, simple_roots)))
+        self.roots = [r for r, _ in pos] + [tuple(-x for x in r) for r, _ in pos]
+        self.coroots = [c for _, c in pos] + [tuple(-x for x in c) for _, c in pos]
         self.simple_idx = [self.roots.index(tuple(s)) for s in simple_roots]
 
     @staticmethod
@@ -298,13 +284,6 @@ class RootDatum:
         n = len(simple_roots)
         rows = [[simple_roots[j][t] for j in range(n)] for t in range(len(r))]
         return solve_frac(rows, r, n)[0]
-
-    def _check_support(self, ctype, rank):
-        ok = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-              ("C", 2), ("C", 3), ("D", 4), ("G", 2),
-              ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)}
-        if (ctype, rank) not in ok:
-            raise ValueError(f"unsupported type/rank {ctype}{rank}")
 
     def _sanity_checks(self):
         counts = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n,
@@ -440,36 +419,16 @@ class RootDatum:
 
     def reflection_index(self, root_idx: int) -> int:
         """Index in W of the reflection in the given root."""
-        got = self._refl_cache
-        if root_idx in got:
-            return got[root_idx]
-        W = self.weyl
-        bv = self.coroots[root_idx]
-        want = tuple(
-            self.coweight_nf(tuple(c[t] - self.pairing(root_idx, c) * bv[t]
-                                   for t in range(self.d)))
-            for c in self.coroots)
-        for w in W.elements():
-            if tuple(self.coweight_nf(W.apply(w, c)) for c in self.coroots) == want:
-                got[root_idx] = w
-                return w
-        raise RuntimeError("reflection not found")
+        got = self._refl_cache.get(root_idx)
+        if got is None:
+            W = self.weyl
+            got = self._refl_cache[root_idx] = W.index[W.reflection_perm(root_idx)]
+        return got
 
     def reflection_subgroup(self, root_idxs) -> frozenset:
         """The subgroup of W generated by the reflections in the given roots."""
         gens = [self.reflection_index(i) for i in root_idxs]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gens:
-                    v = self.weyl.mul(g, w)
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-            frontier = new
-        return frozenset(seen)
+        return frozenset(closure([0], lambda w: [self.weyl.mul(g, w) for g in gens]))
 
     def levi_average(self, root_idxs) -> tuple:
         """
@@ -544,21 +503,6 @@ class SemistdParabolic:
                         u0 = cand
                         moved = True
         self.u = u0
-        pos_j = [datum.simple_idx.index(ri) for ri in sorted(self.levi_simple)]
-        wm = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i in pos_j:
-                    v = W.lmul[i][w]
-                    if v not in wm:
-                        wm.add(v)
-                        new.append(v)
-            frontier = new
-        self.wm_std = frozenset(wm)
-        uinv = W.inv[self.u]
-        self.w_m = frozenset(W.mul(W.mul(self.u, w), uinv) for w in self.wm_std)
         npos = datum.nposroots
         std_m_roots = set()
         for i in range(len(datum.roots)):
@@ -569,6 +513,7 @@ class SemistdParabolic:
                 std_m_roots.add(i)
         act = W.root_act[self.u]
         self.r_m = frozenset(act[i] for i in std_m_roots)
+        self.w_m = datum.reflection_subgroup(self.r_m)
         std_n = [i for i in range(npos) if i not in std_m_roots]
         self.r_n = frozenset(act[i] for i in std_n)
         self.r_nbar = frozenset(j + npos if j < npos else j - npos for j in self.r_n)
@@ -603,19 +548,21 @@ def semistandard_parabolics(datum: RootDatum) -> tuple:
     return datum._parabolics
 
 
-def _build_parabolics(datum: RootDatum) -> tuple:
-    out = []
-    seen = set()
-    W = datum.weyl
+def simple_subsets(datum: RootDatum) -> list:
+    """Every subset J of the simple roots, as a frozenset of root indices."""
     subsets = [frozenset()]
     for ri in datum.simple_idx:
-        subsets = subsets + [s | {ri} for s in subsets]
-    for J in subsets:
-        for u in W.elements():
-            p = SemistdParabolic(datum, u, J)
-            if p.key() not in seen:
-                seen.add(p.key())
-                out.append(p)
+        subsets += [s | {ri} for s in subsets]
+    return subsets
+
+
+def _build_parabolics(datum: RootDatum) -> tuple:
+    # u runs over the minimal representatives of W / W_J: u(alpha_j) > 0
+    # for every j in J
+    W = datum.weyl
+    npos = datum.nposroots
+    out = [SemistdParabolic(datum, u, J) for J in simple_subsets(datum)
+           for u in W.elements() if all(W.root_act[u][ri] < npos for ri in J)]
     out.sort(key=lambda p: (-len(p.levi_simple), p.u, tuple(sorted(p.levi_simple))))
     return tuple(out)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .affine import AffineWeyl, affine_context
 from .alcoves import is_fundamental_p_alcove, newton_vector, pair_two_rho
-from .roots import RootDatum, semistandard_parabolics, standard_parabolic
+from .roots import RootDatum, semistandard_parabolics, simple_subsets, standard_parabolic
 from .snf import solve_frac, solve_integer
 
 
@@ -205,10 +205,7 @@ def enumerate_classes(ctx: AffineWeyl, bound: int):
     datum = ctx.datum
     out = {}
     box = bound + 2
-    subsets = [frozenset()]
-    for ri in datum.simple_idx:
-        subsets = subsets + [s | {ri} for s in subsets]
-    for home in subsets:
+    for home in simple_subsets(datum):
         p = standard_parabolic(datum, home)
         lat = p.lattice
         order, avg = datum.levi_average(p.r_m)

@@ -205,6 +205,14 @@ def test_usage_error_exit_code():
     assert proc.returncode == 1
 
 
+def run_cli_process(argv):
+    """Run the CLI on argv in a fresh interpreter; returns the finished process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "adlv.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 A2 = ["--type", "A", "--rank", "2", "--variant", "SL"]
 C2 = ["--type", "C", "--rank", "2"]
 # a path under a file, which no one can create
@@ -234,23 +242,32 @@ UNWRITABLE = os.path.join(os.devnull, "x.out")
     ["query", *C2, "--class-key", "trivial", "--x", "s1", "--cache-dir", os.devnull],
     ["survey", *C2, "--class-key", "trivial", "--max-len", "2",
      "--cache-dir", os.devnull],
+    ["classes", "--type", "GL", "--rank", "1000000", "--bound", "1"],
 ], ids=["bad-generator", "short-translation", "short-class-key", "bad-type",
         "short-omega", "omega-not-normal-form", "omega-unit-modulus",
         "class-key-no-class", "class-key-not-dominant", "negative-cutoff",
         "survey-negative-cutoff", "negative-max-len", "jobs-below-1",
         "figure-negative-max-len", "negative-bound", "survey-out-unwritable",
         "figure-out-unwritable", "figure-tsv-unwritable", "query-cache-dir-is-file",
-        "survey-cache-dir-is-file"])
+        "survey-cache-dir-is-file", "rank-far-out-of-range"])
 def test_bad_input_is_one_line_and_exit_1(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "adlv.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("adlv: "), proc.stderr
     assert "Fraction(" not in proc.stderr
+
+
+def test_failed_figure_leaves_the_svg_alone(tmp_path):
+    svg = tmp_path / "a.svg"
+    svg.write_text("OLD CONTENT")
+    proc = run_cli_process(["figure", *C2, "--class-key", "trivial", "--max-len", "2",
+                            "--out", str(svg), "--tsv", UNWRITABLE])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("adlv: "), proc.stderr
+    assert svg.read_text() == "OLD CONTENT"
 
 
 def test_trivial_figure_single_alcove(tmp_path):
@@ -293,6 +310,19 @@ def _raises_assertion_error(node):
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_module_doctests_pass():
+    import doctest
+    import pkgutil
+    import adlv
+    attempted = 0
+    for info in pkgutil.iter_modules(adlv.__path__):
+        module = importlib.import_module(f"adlv.{info.name}")
+        failed, tried = doctest.testmod(module)
+        assert failed == 0, info.name
+        attempted += tried
+    assert attempted >= 3
 
 
 def test_layertrace_binds_existing_names():

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -184,3 +186,142 @@ def test_semistandard_parabolics_built_once(spec):
     ids = {id(p) for p in first}
     for ps in semistandard_levis(d).values():
         assert all(id(p) in ids for p in ps)
+
+
+def test_support_is_checked_before_construction(monkeypatch):
+    # a rank far out of range must be refused before any roots are built
+    def boom(*args):
+        raise AssertionError("built a root system for an unsupported rank")
+
+    monkeypatch.setattr(roots.RootDatum, "_build_type_a", boom)
+    monkeypatch.setattr(roots.RootDatum, "_build_from_cartan", boom)
+    for spec in [("GL", 6), ("A", 5), ("GL", 1000000), ("D", 2), ("G", 3)]:
+        with pytest.raises(ValueError, match="unsupported type/rank"):
+            build_root_datum(*spec)
+
+
+# every supported (type, rank), and the coroot lattice of the rank-2 types
+ALL_DATA = sorted(roots.SUPPORTED) + [("A", 2, "coroot"), ("B", 2, "coroot"),
+                                      ("C", 2, "coroot"), ("G", 2, "coroot")]
+
+
+def reference_weyl(datum):
+    """
+    The matrix-keyed enumeration of W: breadth-first over products of the
+    simple reflection matrices, each matrix keyed by the coweight normal
+    forms of its images of the coroots, with the other tables read off the
+    matrices.  Returns a dict of the WeylGroup tables.
+    """
+    d, nf = datum.d, datum.coweight_nf
+
+    def matmul(a, b):
+        return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d))
+                     for i in range(d))
+
+    def image(m, v):
+        return tuple(sum(m[a][b] * v[b] for b in range(d)) for a in range(d))
+
+    def key(m):
+        return tuple(nf(image(m, c)) for c in datum.coroots)
+
+    gens = [tuple(tuple(int(a == b) - datum.coroots[i][a] * datum.roots[i][b]
+                        for b in range(d)) for a in range(d)) for i in datum.simple_idx]
+    mats = [tuple(tuple(int(a == b) for b in range(d)) for a in range(d))]
+    index = {key(mats[0]): 0}
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        new = []
+        for w in frontier:
+            for gi, g in enumerate(gens):
+                m = matmul(g, mats[w])
+                if key(m) not in index:
+                    index[key(m)] = len(mats)
+                    words[len(mats)] = (gi,) + words[w]
+                    new.append(len(mats))
+                    mats.append(m)
+        frontier = new
+    coroot_index = {c: i for i, c in enumerate(datum.coroots)}
+    root_act = [tuple(coroot_index[image(m, c)] for c in datum.coroots) for m in mats]
+    lmul = [[index[key(matmul(g, m))] for m in mats] for g in gens]
+    rmul = [[index[key(matmul(m, g))] for g in gens] for m in mats]
+    inv = []
+    for w in range(len(mats)):
+        v = 0
+        for i in words[w]:
+            v = lmul[i][v]
+        inv.append(v)
+    npos = datum.nposroots
+    length = [sum(1 for i in range(npos) if act[i] >= npos) for act in root_act]
+    return {"mats": mats, "words": words, "root_act": root_act, "lmul": lmul,
+            "rmul": rmul, "inv": inv, "length": length,
+            "w0": max(range(len(mats)), key=length.__getitem__)}
+
+
+def reference_reflection_index(datum, mats, root_idx):
+    """The reflection in a root, found by scanning W for its coroot images."""
+    bv = datum.coroots[root_idx]
+    want = [datum.coweight_nf(tuple(c[t] - datum.pairing(root_idx, c) * bv[t]
+                                    for t in range(datum.d))) for c in datum.coroots]
+    for w, m in enumerate(mats):
+        if [datum.coweight_nf(tuple(sum(map(operator.mul, row, c)) for row in m))
+                for c in datum.coroots] == want:
+            return w
+    raise LookupError("reflection not found")
+
+
+@pytest.mark.parametrize("spec", ALL_DATA, ids=lambda s: "".join(map(str, s)))
+def test_weyl_group_matches_matrix_keyed_reference(spec):
+    d = build_root_datum(*spec)
+    W = d.weyl
+    ref = reference_weyl(d)
+    assert W.n == len(ref["mats"])
+    for name in ("mats", "words", "root_act", "lmul", "rmul", "inv", "length", "w0"):
+        assert getattr(W, name) == ref[name], name
+    for i in range(len(d.roots)):
+        assert d.reflection_index(i) == reference_reflection_index(d, ref["mats"], i)
+
+
+def reference_parabolics(datum):
+    """
+    (key, w_m, r_m, r_n) of every semistandard parabolic: every u in W is
+    tried with every J, normalized by right descents in W_J and deduplicated,
+    and W_M is u W_J u^{-1} for W_J grown from its simple reflections.
+    """
+    W = datum.weyl
+    npos = datum.nposroots
+    found = set()
+    subsets = [frozenset(c) for k in range(len(datum.simple_idx) + 1)
+               for c in itertools.combinations(datum.simple_idx, k)]
+    for J in subsets:
+        for u in W.elements():
+            moved = True
+            while moved:
+                moved = False
+                for i, ri in enumerate(datum.simple_idx):
+                    if ri in J and W.length[W.rmul[u][i]] < W.length[u]:
+                        u, moved = W.rmul[u][i], True
+            found.add((u, J))
+    out = []
+    for u, J in sorted(found, key=lambda uj: (-len(uj[1]), uj[0], sorted(uj[1]))):
+        wj = {0}
+        while True:
+            grown = wj | {W.lmul[datum.simple_idx.index(ri)][w] for w in wj for ri in J}
+            if grown == wj:
+                break
+            wj = grown
+        w_m = frozenset(W.mul(W.mul(u, w), W.inv[u]) for w in wj)
+        std_m = {i for i in range(len(datum.roots))
+                 if all(c == 0 or ri in J for c, ri in
+                        zip(datum.pos_root_coords[i % npos], datum.simple_idx))}
+        r_m = frozenset(W.root_act[u][i] for i in std_m)
+        r_n = frozenset(W.root_act[u][i] for i in range(npos) if i not in std_m)
+        out.append(((u, tuple(sorted(J))), w_m, r_m, r_n))
+    return out
+
+
+@pytest.mark.parametrize("spec", ALL_DATA, ids=lambda s: "".join(map(str, s)))
+def test_semistandard_parabolics_match_every_u_reference(spec):
+    d = build_root_datum(*spec)
+    got = [(p.key(), p.w_m, p.r_m, p.r_n) for p in semistandard_parabolics(d)]
+    assert got == reference_parabolics(d)
