@@ -101,25 +101,19 @@ def eta1(ctx: AffineWeyl, xid: int) -> int:
 def eta2(ctx: AffineWeyl, xid: int) -> int:
     """
     The u in W with u^{-1} x.a inside the dominant chamber.  Alcove interiors
-    meet no root hyperplane through the origin, so u is unique.
+    meet no root hyperplane through the origin, so u is unique.  A root beta
+    is positive on x.a exactly when k(beta, x.a) >= 1, so the walk u <- u s_i
+    while u(alpha_i) is negative on x.a needs only alcove coordinates.
     """
     datum = ctx.datum
-    lam, w = ctx._elts[xid]
-    p = datum.base_point()
-    pt = [a + b for a, b in zip(datum.weyl.apply(w, p), lam)]
+    W = datum.weyl
     u = 0
     moved = True
-    W = datum.weyl
     while moved:
         moved = False
         for pos, ri in enumerate(datum.simple_idx):
-            val = datum.pairing(ri, pt)
-            if val == 0:
-                raise RuntimeError("alcove point on a chamber wall")
-            if val < 0:
-                cr = datum.coroots[ri]
-                pt = [x - val * c for x, c in zip(pt, cr)]
-                u = W.rmul[u][pos]  # u <- u s_i, point <- s_i point
+            if ctx.k_alpha(W.root_act[u][ri], xid) <= 0:
+                u = W.rmul[u][pos]
                 moved = True
     return u
 

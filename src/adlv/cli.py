@@ -11,7 +11,13 @@ Subcommands:
 
 Exit codes: 0 = ran, 1 = usage error, bad input or a path that cannot be
 used (one "adlv: ..." line on stderr), 2 = a disagreement was found in
---check mode.  The default cache directory comes from $ADLV_CACHE_DIR.
+--check mode.
+
+query, survey and figure take --cache-dir (default $ADLV_CACHE_DIR).  survey
+and figure share one driver, survey_results: the same x, the same default
+cutoff and the same cache entries.  A result is turned into JSON once, by
+AdlvResult.to_json, where it is computed (in a forked worker with --jobs);
+cache hits and worker results are used as JSON from there on.
 
 JSON output schema (version 1).  Survey records and query output carry:
 x, length, shrunken, eta1, eta2, class_key, computed {status, dim,
@@ -54,7 +60,7 @@ def build_parser():
         if with_class:
             p.add_argument("--class-key", dest="class_key", required=True,
                            help='e.g. "nu=[1,-1/2,-1/2];kappa=[0,0,0]", or "trivial"')
-        p.add_argument("--cache-dir", default=os.environ.get("ADLV_CACHE_DIR"))
+            p.add_argument("--cache-dir", default=os.environ.get("ADLV_CACHE_DIR"))
 
     p = sub.add_parser("classes", help="catalog of classes up to a slope bound")
     common(p, with_class=False)
@@ -156,7 +162,8 @@ def cmd_classes(args, out=sys.stdout):
     return 0
 
 
-def record_for(ctx, cls, xid, result):
+def record_for(ctx, cls, xid, computed):
+    """The survey and query record of x; computed is AdlvResult.to_json."""
     datum = ctx.datum
     basic = sg.is_basic(datum, cls)
     rec = {
@@ -166,7 +173,7 @@ def record_for(ctx, cls, xid, result):
         "eta1": _wname(datum, eta1(ctx, xid)),
         "eta2": _wname(datum, eta2(ctx, xid)),
         "class_key": cls.key(),
-        "computed": result.to_json(ctx),
+        "computed": computed,
         "predicted_shrunken": None,
         "predicted_levi": None,
         "agree_shrunken": None,
@@ -175,17 +182,17 @@ def record_for(ctx, cls, xid, result):
     if basic:
         status, cert = eng.predict_levi(ctx, xid, cls)
         rec["predicted_levi"] = {"status": status}
-        if result.status == "nonempty":
+        if computed["status"] == "nonempty":
             rec["agree_levi"] = status == "nonempty-predicted"
-        elif result.status == "empty-certified":
+        elif computed["status"] == "empty-certified":
             rec["agree_levi"] = status == "empty"
         # empty-up-to-cutoff stays None: logged, never a disagreement
         if rec["shrunken"]:
             pstat, pdim = eng.predict_shrunken(ctx, xid, cls)
             rec["predicted_shrunken"] = {"status": pstat, "dim": pdim}
-            if result.status == "nonempty":
-                rec["agree_shrunken"] = (pstat == "nonempty" and pdim == result.dim)
-            elif result.status == "empty-certified":
+            if computed["status"] == "nonempty":
+                rec["agree_shrunken"] = (pstat == "nonempty" and pdim == computed["dim"])
+            elif computed["status"] == "empty-certified":
                 rec["agree_shrunken"] = pstat == "empty"
     return rec
 
@@ -206,13 +213,11 @@ def cmd_query(args, out=sys.stdout):
     cutoff = args.cutoff if args.cutoff is not None else eng.default_cutoff(ctx, xid, cls)
     store = CacheStore(args.cache_dir)
     key = _solve_key(ctx, cls, xid, cutoff)
-    cached = store.get(key)
-    if cached is not None:
-        result = _result_from_json(ctx, cached)
-    else:
-        result = eng.solve(ctx, xid, cls, cutoff)
-        store.put(key, result.to_json(ctx))
-    rec = record_for(ctx, cls, xid, result)
+    computed = store.get(key)
+    if computed is None:
+        computed = eng.solve(ctx, xid, cls, cutoff).to_json(ctx)
+        store.put(key, computed)
+    rec = record_for(ctx, cls, xid, _in_result_order(computed))
     rec["schema_version"] = SCHEMA_VERSION
     rec["bruhat_geq_some_conjugate"] = _bruhat_flag(ctx, cls, xid)
     rec["p_alcove_for_proper_parabolic"] = _is_any_proper_p_alcove(ctx, xid)
@@ -225,9 +230,20 @@ def cmd_query(args, out=sys.stdout):
 
 
 def _solve_key(ctx, cls, xid, cutoff):
-    """The cache key of one solve result; shared by query and survey."""
+    """The cache key of one solve result; shared by query, survey and figure."""
     return cache_key(ctx.datum.json_descriptor(), "solve",
                      {"x": ctx.format(xid), "class": cls.key(), "cutoff": cutoff})
+
+
+def _in_result_order(computed):
+    """
+    computed with its keys in the order AdlvResult.to_json writes them.  The
+    cache stores them sorted, and a warm query prints the bytes of a cold one.
+    """
+    certs = [{k: c[k] for k in ("kind", "parabolic", "detail")}
+             for c in computed["certificates"]]
+    return {**{k: computed[k] for k in ("status", "dim", "witness_w", "cutoff")},
+            "certificates": certs}
 
 
 def _p_alcove_reports(ctx, xid):
@@ -260,16 +276,6 @@ def _is_any_proper_p_alcove(ctx, xid):
     return next(eng.p_alcove_parabolics(ctx, xid), None) is not None
 
 
-def _result_from_json(ctx, obj):
-    res = eng.AdlvResult(obj["status"], dim=obj.get("dim"), cutoff=obj.get("cutoff"))
-    if obj.get("witness_w"):
-        res.witness_w = ctx.parse(obj["witness_w"])
-    for c in obj.get("certificates", []):
-        res.certificates.append(eng.Certificate(c["kind"], c.get("parabolic"),
-                                                c.get("detail", "")))
-    return res
-
-
 def survey_elements(ctx, cls, max_len):
     """All x with ell <= max_len in the component of the class, sorted."""
     om = eng.omega_window(ctx, cls, [sg.standard_representative(ctx, cls)])
@@ -277,21 +283,59 @@ def survey_elements(ctx, cls, max_len):
             if ctx.omega_class(x) == cls.kappa]
 
 
-_worker_state = {}
+# (ctx, cls, cutoff) of the survey whose forked workers are running: set just
+# before the Pool forks, so that every worker inherits it
+_survey_state = None
 
 
-def _survey_worker(payload):
-    spec, class_key, cutoff, chunk = payload
-    key = (spec, class_key)
-    if key not in _worker_state:
-        datum = build_root_datum(*spec)
-        ctx = affine_context(datum)
-        cls = parse_class_key(ctx, class_key)
-        _worker_state[key] = (ctx, cls)
-    ctx, cls = _worker_state[key]
-    xids = [ctx.parse(t) for t in chunk]
-    res = eng.survey_batch(ctx, cls, xids, cutoff)
-    return {ctx.format(x): r.to_json(ctx) for x, r in res.items()}
+def _survey_worker(chunk):
+    """Decide a chunk of element ids in a forked worker; {x: computed}."""
+    ctx, cls, cutoff = _survey_state
+    res = eng.survey_batch(ctx, cls, chunk, cutoff)
+    return {x: r.to_json(ctx) for x, r in res.items()}
+
+
+def survey_results(ctx, cls, max_len, cutoff, store, jobs):
+    """
+    (xs, cutoff, {x: computed}) for the survey of the class up to max_len:
+    the cutoff defaults to max_len + 2h (h the Coxeter number), the records
+    come from the store when it holds them and go into it when computed, and
+    with jobs > 1 the uncached x are decided in forked worker processes.
+    """
+    global _survey_state
+    xs = survey_elements(ctx, cls, max_len)
+    if cutoff is None:
+        cutoff = max_len + 2 * eng.coxeter_number(ctx.datum)
+    results = {}
+    todo = []
+    for x in xs:
+        cached = store.get(_solve_key(ctx, cls, x, cutoff))
+        if cached is not None:
+            results[x] = cached
+        else:
+            todo.append(x)
+    if jobs > 1 and len(todo) > 8:
+        import multiprocessing as mp
+        # build the parabolics and fill the Levi-target memo before forking,
+        # so that the workers inherit them for the certificate pass instead
+        # of each filling its own, and record_for finds them too
+        semistandard_parabolics(ctx.datum)
+        for x in todo:
+            eng.emptiness_certificate(ctx, x, cls)
+        chunks = [ch for ch in (todo[i::jobs] for i in range(jobs)) if ch]
+        _survey_state = (ctx, cls, cutoff)
+        try:
+            with mp.get_context("fork").Pool(jobs) as pool:
+                for part in pool.map(_survey_worker, chunks):
+                    results.update(part)
+        finally:
+            _survey_state = None
+    elif todo:
+        for x, r in eng.survey_batch(ctx, cls, todo, cutoff).items():
+            results[x] = r.to_json(ctx)
+    for x in todo:
+        store.put(_solve_key(ctx, cls, x, cutoff), results[x])
+    return xs, cutoff, results
 
 
 def cmd_survey(args, out=sys.stdout):
@@ -302,38 +346,9 @@ def cmd_survey(args, out=sys.stdout):
     # open the sink first, so that a path that cannot be written fails
     # before the sweep
     sink = open(args.out, "w", encoding="utf-8") if args.out else out
-    xs = survey_elements(ctx, cls, args.max_len)
-    cutoff = args.cutoff if args.cutoff is not None else (
-        args.max_len + 2 * eng.coxeter_number(datum))
-    results = {}
-    todo = []
-    for x in xs:
-        cached = store.get(_solve_key(ctx, cls, x, cutoff))
-        if cached is not None:
-            results[x] = _result_from_json(ctx, cached)
-        else:
-            todo.append(x)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1 and len(todo) > 8:
-        import multiprocessing as mp
-        spec = (datum.spec.ctype, datum.spec.rank, datum.spec.variant)
-        # build the parabolics and fill the Levi-target memo before forking,
-        # so that the workers inherit them for the certificate pass instead
-        # of each filling its own, and record_for below finds them too
-        semistandard_parabolics(datum)
-        for x in todo:
-            eng.emptiness_certificate(ctx, x, cls)
-        chunks = [todo[i::jobs] for i in range(jobs)]
-        payloads = [(spec, cls.key(), cutoff, [ctx.format(x) for x in ch])
-                    for ch in chunks if ch]
-        with mp.get_context("fork").Pool(jobs) as pool:
-            for part in pool.map(_survey_worker, payloads):
-                for xt, obj in part.items():
-                    results[ctx.parse(xt)] = _result_from_json(ctx, obj)
-    elif todo:
-        results.update(eng.survey_batch(ctx, cls, todo, cutoff))
-    for x in todo:
-        store.put(_solve_key(ctx, cls, x, cutoff), results[x].to_json(ctx))
+    xs, cutoff, results = survey_results(ctx, cls, args.max_len, args.cutoff,
+                                         store, jobs)
     recs = [record_for(ctx, cls, x, results[x]) for x in xs]
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -354,9 +369,7 @@ def cmd_survey(args, out=sys.stdout):
             sink.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
         else:
             from .figure import render_tsv
-            data = [{"x": ctx.parse(r["x"]), "status": r["computed"]["status"],
-                     "dim": r["computed"]["dim"]} for r in recs]
-            sink.write(render_tsv(ctx, data))
+            sink.write(render_tsv(ctx, [(x, results[x]) for x in xs]))
     finally:
         if args.out:
             sink.close()
@@ -372,22 +385,27 @@ def cmd_figure(args, out=sys.stdout):
         raise SystemExit("adlv: figures need a rank-2 type (A2, B2, C2, G2)")
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
+    store = CacheStore(args.cache_dir)
     # check that every output opens before the sweep, in append mode, so
-    # that one bad path fails first and leaves the other file as it was
-    for path in [args.out] + ([args.tsv] if args.tsv else []):
-        open(path, "a", encoding="utf-8").close()
-    xs = survey_elements(ctx, cls, args.max_len)
-    cutoff = args.cutoff if args.cutoff is not None else (
-        args.max_len + 2 * eng.coxeter_number(datum))
-    results = eng.survey_batch(ctx, cls, xs, cutoff)
-    records = [{"x": x, "status": results[x].status, "dim": results[x].dim}
-               for x in xs]
+    # that one bad path fails first and leaves the other file as it was; an
+    # --out that this check created goes again
+    new_out = not os.path.exists(args.out)
+    try:
+        for path in [args.out] + ([args.tsv] if args.tsv else []):
+            open(path, "a", encoding="utf-8").close()
+    except OSError:
+        if new_out and os.path.exists(args.out):
+            os.remove(args.out)
+        raise
+    xs, _, results = survey_results(ctx, cls, args.max_len, args.cutoff, store, 1)
+    store.close()
+    rows = [(x, results[x]) for x in xs]
     from .figure import render_svg, render_tsv
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(ctx, records))
+        fh.write(render_svg(ctx, rows))
     if args.tsv:
         with open(args.tsv, "w", encoding="utf-8") as fh:
-            fh.write(render_tsv(ctx, records))
+            fh.write(render_tsv(ctx, rows))
     print(f"wrote {args.out}" + (f" and {args.tsv}" if args.tsv else ""), file=out)
     return 0
 

@@ -667,25 +667,21 @@ def superset(ctx: AffineWeyl, cls: SigmaConjClass, cutoff: int):
     b0, _p0 = fundamental_representative(ctx, cls)
     H = Hecke(ctx)
     base = H.t(b0)
-    out = set(H.support(base))
-    # BFS over y: Q_{ys} = T_s Q_y T_s when the lengths grow
+    # y in length order: Q_{ys} = T_s Q_y T_s when the lengths grow, filled
+    # when the closure first reaches ys
     qs = {ctx.identity: base}
-    frontier = [ctx.identity]
     omegas = omega_window(ctx, cls, [b0])
-    while frontier:
-        new = []
-        for y in frontier:
-            q = qs[y]
-            for gi, g in enumerate(ctx.gens):
-                ys = ctx.mul(y, g)
-                if ctx.length(ys) != ctx.length(y) + 1 or ys in qs or \
-                        ctx.length(ys) > cutoff:
-                    continue
-                qq = H.mul_gen(H.mul_gen(q, g, left=True), g)
-                qs[ys] = qq
-                new.append(ys)
-                out |= H.support(qq)
-        frontier = new
+
+    def up(y):
+        for g in ctx.gens:
+            ys = ctx.mul(y, g)
+            if ys not in qs and ctx.length(ys) == ctx.length(y) + 1 <= cutoff:
+                qs[ys] = H.mul_gen(H.mul_gen(qs[y], g, left=True), g)
+                yield ys
+
+    out = set()
+    for y in closure([ctx.identity], up):
+        out |= H.support(qs[y])
     # omega parts of y contribute conjugated supports
     full = set()
     for tau in omegas:

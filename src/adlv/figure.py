@@ -61,7 +61,7 @@ def alcove_polygon(ctx: AffineWeyl, xid: int):
     """Exact rational plane coordinates of the vertices of x.a."""
     datum = ctx.datum
     lam, w = ctx._elts[xid]
-    verts = base_alcove_vertices(datum)
+    verts = datum.base_alcove_vertices()
     out = []
     for v in verts:
         img = datum.weyl.apply(w, v)
@@ -70,19 +70,17 @@ def alcove_polygon(ctx: AffineWeyl, xid: int):
     return out
 
 
-def base_alcove_vertices(datum):
-    theta_coeffs = datum.pos_root_coords[datum.theta_idx]
-    fw = datum._fundamental_coweights()
-    verts = [tuple(Fraction(0) for _ in range(datum.d))]
-    for i in range(len(fw)):
-        verts.append(tuple(c / theta_coeffs[i] for c in fw[i]))
-    return verts
+def _to_xy(E, c):
+    """Pre-scale SVG coordinates of plane coordinates c (SVG y grows downward)."""
+    x = E[0][0] * float(c[0]) + E[0][1] * float(c[1])
+    y = E[1][0] * float(c[0]) + E[1][1] * float(c[1])
+    return x, -y
 
 
 def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
     """
-    records: list of dicts with keys x (element id), status, dim.
-    Returns the SVG document as a string.
+    records: list of (x, computed) pairs, an element id and its
+    AdlvResult.to_json record.  Returns the SVG document as a string.
     """
     datum = ctx.datum
     if datum.weyl.rank != 2:
@@ -90,16 +88,11 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
     bas, gram = drawing_basis(datum)
     E = embed(gram)
 
-    def to_xy(c):
-        x = E[0][0] * float(c[0]) + E[0][1] * float(c[1])
-        y = E[1][0] * float(c[0]) + E[1][1] * float(c[1])
-        return x, -y  # SVG y grows downward
-
     polys = []
     xs, ys = [], []
-    for rec in records:
-        pts = [to_xy(c) for c in alcove_polygon(ctx, rec["x"])]
-        polys.append((pts, rec))
+    for x, rec in records:
+        pts = [_to_xy(E, c) for c in alcove_polygon(ctx, x)]
+        polys.append((pts, x, rec))
         for px, py in pts:
             xs.append(px)
             ys.append(py)
@@ -117,8 +110,8 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
     out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">' % (size, size)]
     out.append('<rect width="100%" height="100%" fill="white"/>')
     labels = []
-    for pts, rec in polys:
-        if rec["x"] == ctx.identity:
+    for pts, x, rec in polys:
+        if x == ctx.identity:
             fill = "black"
         elif rec["status"] == "nonempty":
             fill = "#bbbbbb"
@@ -126,7 +119,7 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
             fill = "white"
         out.append('<polygon points="%s" fill="%s" stroke="#777777" stroke-width="0.6"/>'
                    % (" ".join(fmt(p) for p in pts), fill))
-        if rec["status"] == "nonempty" and rec["x"] != ctx.identity:
+        if rec["status"] == "nonempty" and x != ctx.identity:
             cx = sum(p[0] for p in pts) / len(pts)
             cy = sum(p[1] for p in pts) / len(pts)
             labels.append((cx, cy, rec["dim"]))
@@ -143,7 +136,7 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
                    'dominant-baseline="middle">%d</text>'
                    % (20 + (cx - minx) * scale, 20 + (cy - miny) * scale,
                       min(14.0, 26.0 / math.sqrt(len(polys)) * 8), dim))
-    origin = to_xy((Fraction(0), Fraction(0)))
+    origin = _to_xy(E, (Fraction(0), Fraction(0)))
     out.append('<circle cx="%.2f" cy="%.2f" r="3.5" fill="black"/>'
                % (20 + (origin[0] - minx) * scale, 20 + (origin[1] - miny) * scale))
     out.append('</svg>')
@@ -168,11 +161,7 @@ def _clip_hyperplane(datum, bas, root_idx, level, minx, maxx, miny, maxy, E):
             pts.append((c1, c2))
     else:
         return None
-    def to_xy(c):
-        x = E[0][0] * float(c[0]) + E[0][1] * float(c[1])
-        y = E[1][0] * float(c[0]) + E[1][1] * float(c[1])
-        return x, -y
-    (x1, y1), (x2, y2) = to_xy(pts[0]), to_xy(pts[1])
+    (x1, y1), (x2, y2) = _to_xy(E, pts[0]), _to_xy(E, pts[1])
     # Liang-Barsky clip to the bbox
     dx, dy = x2 - x1, y2 - y1
     t0, t1 = 0.0, 1.0
@@ -194,10 +183,10 @@ def _clip_hyperplane(datum, bas, root_idx, level, minx, maxx, miny, maxy, E):
 
 
 def render_tsv(ctx: AffineWeyl, records) -> str:
+    """records: (x, computed) pairs, as for render_svg."""
     from .alcoves import is_shrunken
     lines = ["alcove\tlength\tshrunken\tstatus\tdim"]
-    for rec in records:
-        x = rec["x"]
+    for x, rec in records:
         lines.append("%s\t%d\t%d\t%s\t%s" % (
             ctx.format(x), ctx.length(x), int(is_shrunken(ctx, x)),
             rec["status"], "" if rec["dim"] is None else rec["dim"]))

@@ -195,9 +195,8 @@ class RootDatum:
         if (ctype, rank) not in SUPPORTED:
             raise ValueError(f"unsupported type/rank {ctype}{rank}")
         self.spec = DatumSpec(ctype, rank, variant)
-        # lazily filled memo tables (see base_point, reflection_index,
-        # levi_average, semistandard_parabolics and affine.affine_context)
-        self._base_point = None
+        # lazily filled memo tables (see reflection_index, levi_average,
+        # semistandard_parabolics and affine.affine_context)
         self._refl_cache: dict[int, int] = {}
         self._levi_averages: dict[frozenset, tuple] = {}
         self._parabolics: tuple | None = None
@@ -301,7 +300,9 @@ class RootDatum:
         for c in self.coroots:
             if sum(self.two_rho[j] * c[j] for j in range(self.d)) % 2:
                 raise RuntimeError("<2rho, alpha^vee> must be even")
-        p = self.base_point()
+        # a generic interior point of the base alcove: its barycenter
+        verts = self.base_alcove_vertices()
+        p = [sum(col) / len(verts) for col in zip(*verts)]
         for i in range(len(self.roots)):
             v = self.pairing(i, p)
             if v.denominator == 1:
@@ -331,31 +332,21 @@ class RootDatum:
         """<root, vec>, exact on integer and Fraction vectors alike."""
         return sum(map(operator.mul, self.roots[root_idx], vec))
 
-    def base_point(self):
-        """A generic interior point of the base alcove, as exact fractions."""
-        if self._base_point is None:
-            self._base_point = self._base_point_compute()
-        return self._base_point
-
-    def _base_point_compute(self):
-        if self.spec.ctype in ("A", "GL"):
-            n = self.d
-            return tuple(Fraction(n - 1 - i, n) for i in range(n))
-        theta_coeffs = self.pos_root_coords[self.theta_idx]
-        r = self.d
-        fw = self._fundamental_coweights()
-        p = [Fraction(0)] * r
-        for i in range(r):
-            for j in range(r):
-                p[j] += fw[i][j] / theta_coeffs[i]
-        return tuple(x / (r + 1) for x in p)
-
-    def _fundamental_coweights(self):
-        """Rational vectors omega_i with <alpha_j, omega_i> = delta_ij."""
+    def base_alcove_vertices(self):
+        """
+        The vertices of the base alcove, as exact fractions: the origin and
+        omega_i / c_i, with omega_i the fundamental coweights
+        (<alpha_j, omega_i> = delta_ij) and c_i the coefficients of the
+        highest root theta.
+        """
         r = len(self.simple_idx)
         rows = [self.roots[i] for i in self.simple_idx]
-        return [tuple(solve_frac(rows, [1 if j == i else 0 for j in range(r)],
-                                 self.d)[0]) for i in range(r)]
+        theta_coeffs = self.pos_root_coords[self.theta_idx]
+        verts = [tuple(Fraction(0) for _ in range(self.d))]
+        for i in range(r):
+            fw = solve_frac(rows, [1 if j == i else 0 for j in range(r)], self.d)[0]
+            verts.append(tuple(c / theta_coeffs[i] for c in fw))
+        return verts
 
     # -- lattices ------------------------------------------------------------
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from adlv import alcoves as al
-from adlv.roots import (SemistdParabolic, semistandard_parabolics,
+from adlv import roots
+from adlv.affine import affine_context
+from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
                         standard_parabolic)
 from conftest import ball_with_omega
 
@@ -115,6 +117,41 @@ def test_eta_maps(a2_ctx):
     for word in [(0, 1), (1, 2, 1), (0, 2, 0, 1)]:
         z = ctx.from_word(word)
         assert al.eta1(ctx, z) == ctx.finite(z)
+
+
+def reference_eta2(ctx, xid):
+    """
+    eta_2 by the chamber walk on an exact interior point of x.a, the image of
+    the barycenter of the base alcove: reflect the point in each simple wall
+    it lies below, and multiply u by that reflection on the right.
+    """
+    datum = ctx.datum
+    W = datum.weyl
+    verts = datum.base_alcove_vertices()
+    base = [sum(col) / len(verts) for col in zip(*verts)]
+    lam, w = ctx._elts[xid]
+    pt = [a + b for a, b in zip(W.apply(w, base), lam)]
+    u = 0
+    moved = True
+    while moved:
+        moved = False
+        for pos, ri in enumerate(datum.simple_idx):
+            val = datum.pairing(ri, pt)
+            assert val != 0, "an alcove point on a chamber wall"
+            if val < 0:
+                pt = [c - val * cr for c, cr in zip(pt, datum.coroots[ri])]
+                u = W.rmul[u][pos]
+                moved = True
+    return u
+
+
+@pytest.mark.parametrize("spec", sorted(roots.SUPPORTED) + [
+    ("A", 2, "coroot"), ("B", 2, "coroot"), ("C", 2, "coroot"), ("G", 2, "coroot")],
+    ids=lambda s: "".join(map(str, s)))
+def test_eta2_matches_the_chamber_walk(spec):
+    ctx = affine_context(build_root_datum(*spec))
+    xs = ball_with_omega(ctx, 6 if ctx.datum.weyl.rank <= 2 else 3)
+    assert [al.eta2(ctx, x) for x in xs] == [reference_eta2(ctx, x) for x in xs]
 
 
 def test_minimal_levis(a2_ctx):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -242,6 +243,8 @@ UNWRITABLE = os.path.join(os.devnull, "x.out")
     ["query", *C2, "--class-key", "trivial", "--x", "s1", "--cache-dir", os.devnull],
     ["survey", *C2, "--class-key", "trivial", "--max-len", "2",
      "--cache-dir", os.devnull],
+    ["figure", *C2, "--class-key", "trivial", "--max-len", "2", "--out", os.devnull,
+     "--cache-dir", os.devnull],
     ["classes", "--type", "GL", "--rank", "1000000", "--bound", "1"],
 ], ids=["bad-generator", "short-translation", "short-class-key", "bad-type",
         "short-omega", "omega-not-normal-form", "omega-unit-modulus",
@@ -249,7 +252,8 @@ UNWRITABLE = os.path.join(os.devnull, "x.out")
         "survey-negative-cutoff", "negative-max-len", "jobs-below-1",
         "figure-negative-max-len", "negative-bound", "survey-out-unwritable",
         "figure-out-unwritable", "figure-tsv-unwritable", "query-cache-dir-is-file",
-        "survey-cache-dir-is-file", "rank-far-out-of-range"])
+        "survey-cache-dir-is-file", "figure-cache-dir-is-file",
+        "rank-far-out-of-range"])
 def test_bad_input_is_one_line_and_exit_1(argv):
     proc = run_cli_process(argv)
     assert proc.returncode == 1
@@ -260,14 +264,90 @@ def test_bad_input_is_one_line_and_exit_1(argv):
 
 
 def test_failed_figure_leaves_the_svg_alone(tmp_path):
-    svg = tmp_path / "a.svg"
-    svg.write_text("OLD CONTENT")
-    proc = run_cli_process(["figure", *C2, "--class-key", "trivial", "--max-len", "2",
-                            "--out", str(svg), "--tsv", UNWRITABLE])
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("adlv: "), proc.stderr
-    assert svg.read_text() == "OLD CONTENT"
+    # an --out that exists keeps its content, and one that did not exist
+    # is not left behind as an empty file
+    old, new = tmp_path / "a.svg", tmp_path / "new.svg"
+    old.write_text("OLD CONTENT")
+    for svg in (old, new):
+        proc = run_cli_process(["figure", *C2, "--class-key", "trivial",
+                                "--max-len", "2", "--out", str(svg), "--tsv", UNWRITABLE])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("adlv: "), proc.stderr
+    assert old.read_text() == "OLD CONTENT"
+    assert not new.exists()
+
+
+def test_warm_query_prints_the_cold_bytes(tmp_path):
+    # the cache stores a result with sorted keys; the query still prints
+    # them in the order of a freshly computed result
+    argv = ["query", *C2, "--class-key", "trivial", "--x", "s0*s1*s2*s1",
+            "--cache-dir", str(tmp_path / "c")]
+    cold, warm = run_cli(argv), run_cli(argv)
+    assert warm == cold and '"certificates"' in cold[1]
+
+
+def test_figure_shares_the_survey_cache(tmp_path, monkeypatch):
+    args = [*C2, "--class-key", "trivial", "--max-len", "4", "--cutoff", "6"]
+    survey_cache, figure_cache = tmp_path / "s", tmp_path / "f"
+    run_cli(["survey", *args, "--jobs", "1", "--cache-dir", str(survey_cache)])
+    fig = ["figure", *args, "--out", str(tmp_path / "a.svg"),
+           "--tsv", str(tmp_path / "a.tsv"), "--cache-dir", str(figure_cache)]
+    run_cli(fig)
+    written = (figure_cache / "results.jsonl").read_text()
+    assert written == (survey_cache / "results.jsonl").read_text()
+    cold = [(tmp_path / name).read_text() for name in ("a.svg", "a.tsv")]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a warm figure must not sweep")
+
+    monkeypatch.setattr(cli.eng, "survey_batch", no_sweep)
+    (tmp_path / "a.svg").unlink()
+    run_cli(fig)
+    assert [(tmp_path / name).read_text() for name in ("a.svg", "a.tsv")] == cold
+    assert (figure_cache / "results.jsonl").read_text() == written
+
+
+def test_parallel_survey_writes_the_serial_cache(tmp_path):
+    argv = ["survey", "--type", "A", "--rank", "3", "--class-key", "trivial",
+            "--max-len", "2"]
+    outs = []
+    for jobs in ("1", "2"):
+        cache = tmp_path / jobs
+        outs.append(run_cli(argv + ["--jobs", jobs, "--cache-dir", str(cache)]))
+        outs.append((cache / "results.jsonl").read_text())
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    assert outs[1].count("\n") == 15
+
+
+def test_every_option_is_read(tmp_path, monkeypatch):
+    # an option that the command never reads is dead: it is accepted and
+    # does nothing, so each parsed dest but cmd must be read by cmd_<name>
+    monkeypatch.delenv("ADLV_CACHE_DIR", raising=False)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    argvs = [
+        ["classes", *C2, "--variant", "", "--bound", "1", "--format", "tsv"],
+        ["query", *C2, "--class-key", "trivial", "--x", "s1", "--cutoff", "3",
+         "--explain", *cache],
+        ["survey", *C2, "--class-key", "trivial", "--max-len", "2", "--cutoff", "4",
+         "--jobs", "1", "--format", "tsv", "--check", "--out", str(tmp_path / "s.tsv"),
+         *cache],
+        ["figure", *C2, "--class-key", "trivial", "--max-len", "2", "--cutoff", "4",
+         "--out", str(tmp_path / "f.svg"), "--tsv", str(tmp_path / "f.tsv"), *cache],
+    ]
+    assert sorted(a[0] for a in argvs) == sorted(
+        cli.build_parser()._subparsers._group_actions[0].choices)
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        reads = set()
+
+        class ReadLog(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        getattr(cli, "cmd_" + args.cmd)(ReadLog(**vars(args)), out=io.StringIO())
+        assert set(vars(args)) - {"cmd"} - reads == set(), argv[0]
 
 
 def test_trivial_figure_single_alcove(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -203,6 +204,21 @@ def test_support_is_checked_before_construction(monkeypatch):
 # every supported (type, rank), and the coroot lattice of the rank-2 types
 ALL_DATA = sorted(roots.SUPPORTED) + [("A", 2, "coroot"), ("B", 2, "coroot"),
                                       ("C", 2, "coroot"), ("G", 2, "coroot")]
+
+
+@pytest.mark.parametrize("spec", ALL_DATA, ids=lambda s: "".join(map(str, s)))
+def test_base_alcove_vertices(spec):
+    # the origin and omega_i / c_i: <alpha_j, v_i> = delta_ij / c_i, and each
+    # vertex but the origin lies on the wall {theta = 1}
+    d = build_root_datum(*spec)
+    verts = d.base_alcove_vertices()
+    theta = d.pos_root_coords[d.theta_idx]
+    assert len(verts) == len(d.simple_idx) + 1
+    assert all(d.pairing(r, verts[0]) == 0 for r in range(len(d.roots)))
+    for i, v in enumerate(verts[1:]):
+        assert [d.pairing(r, v) for r in d.simple_idx] == [
+            Fraction(int(i == j), theta[i]) for j in range(len(d.simple_idx))]
+        assert d.pairing(d.theta_idx, v) == 1
 
 
 def reference_weyl(datum):
