@@ -37,8 +37,10 @@ class AffineWeyl:
 
     All operations are pure; the interning and memo tables are the only
     mutable state and are only ever extended (insert-if-absent under the
-    interpreter lock), so contexts are safe to share between threads and
-    cheap to fork into worker processes.
+    interpreter lock), and contexts are cheap to fork into worker
+    processes.  The kept sweep is the exception: engine.kept_sweep grows it
+    in place, reordering its lists when a new tau is merged in, so two
+    threads must not sweep one context at once.
     """
 
     def __init__(self, datum: RootDatum):
@@ -63,9 +65,10 @@ class AffineWeyl:
         # the one sweep engine.kept_sweep keeps, over the union of the Omega
         # sets and the largest cutoff asked so far: None, or an engine.Sweep
         # (cutoff, frozenset of omegas, sweep, and per position the length,
-        # the tau and the central class index of w; then the class count
-        # and the conjugate tables w^{-1} b w, by the element id of b).  A
-        # rebuild replaces it, tables included
+        # the tau and the central class id of w; then the class count, the
+        # conjugate tables w^{-1} b w by the element id of b, and what growth
+        # reads).  Growth extends its lists and tables in place, keeping every
+        # class id and filled entry, and replaces the record
         self.sweep: tuple | None = None
         # for central_class: the central cocharacters are none, or Z z for
         # one z with a coordinate z[i] = +-1 (GL_n: z = (1,..,1)); kept as
@@ -143,6 +146,19 @@ class AffineWeyl:
         c = W.mul(W.mul(u, v), W.inv[u])
         return self.intern(tuple(a + b - e for a, b, e in
                                  zip(lam, W.apply(u, mu), W.apply(c, lam))), c)
+
+    def conj_inv(self, g: int, x: int) -> int:
+        """
+        g^{-1} x g, in closed form: for g = (lam, u) and x = (mu, v) it is
+        (u^{-1}(mu + v lam - lam), u^{-1} v u).  Interns no g^{-1}.
+        """
+        lam, u = self._elts[g]
+        mu, v = self._elts[x]
+        W = self.datum.weyl
+        ui = W.inv[u]
+        return self.intern(W.apply(ui, tuple(a + b - e for a, b, e in
+                                             zip(mu, W.apply(v, lam), lam))),
+                           W.mul(W.mul(ui, v), u))
 
     # -- alcove coordinates ----------------------------------------------------
 

@@ -307,13 +307,16 @@ def survey_results(ctx, cls, max_len, cutoff, store, jobs):
     if cutoff is None:
         cutoff = max_len + 2 * eng.coxeter_number(ctx.datum)
     results = {}
-    todo = []
+    # the uncached x, with their cache keys for the write once decided
+    todo, keys = [], []
     for x in xs:
-        cached = store.get(_solve_key(ctx, cls, x, cutoff))
+        key = _solve_key(ctx, cls, x, cutoff)
+        cached = store.get(key)
         if cached is not None:
             results[x] = cached
         else:
             todo.append(x)
+            keys.append(key)
     if jobs > 1 and len(todo) > 8:
         import multiprocessing as mp
         # build the parabolics and fill the Levi-target memo before forking,
@@ -333,8 +336,8 @@ def survey_results(ctx, cls, max_len, cutoff, store, jobs):
     elif todo:
         for x, r in eng.survey_batch(ctx, cls, todo, cutoff).items():
             results[x] = r.to_json(ctx)
-    for x in todo:
-        store.put(_solve_key(ctx, cls, x, cutoff), results[x])
+    for x, key in zip(todo, keys):
+        store.put(key, results[x])
     return xs, cutoff, results
 
 

@@ -52,19 +52,20 @@ both.  survey_batch computes the profile, the wall key and w^{-1} b w once
 per class of w modulo central translations, but still visits every w in
 sweep order, because eta_G(w * t^z) moves with z and the acceptance test,
 the positions and the witnesses are per w.  The kept sweep numbers these
-classes when it is built: W~ = W_a x| Omega and t^z lies in Omega, so the
+classes once per context: W~ = W_a x| Omega and t^z lies in Omega, so the
 class of w = u * tau is the pair (u, central class of tau), and
-AffineWeyl.central_class runs once per tau.
+AffineWeyl.central_class runs once per tau and growth.
 
 Conjugate tables.  None of the per-w data of a sweep depends on x: the tau
 of w = u * tau, its central class, and for a class representative b the
 element w^{-1} b w that the stratum of w reads.  So the context keeps them
-with its sweep (kept_sweep): tau and the class index per sweep position,
-and per b a conjugate table over the class indices, filled by survey_batch
-as it first meets a class and read by every later query or survey of that
-class on the context.  A rebuild of the sweep renumbers the classes and
-drops the tables.  Two more per-w steps go by tau alone: x = word * tau
-meets w^{-1} b w where the word's frontier holds w^{-1} b w tau^{-1}, so
+with its sweep (kept_sweep): tau and the class id per sweep position, and
+per b a conjugate table over the class ids, filled by survey_batch with
+AffineWeyl.conj_inv as it first meets a class and read by every later
+query or survey of that class on the context.  Growing the sweep keeps
+every class id and every filled entry, and extends the tables with
+unfilled ones.  Two more per-w steps go by tau alone: x = word * tau meets
+w^{-1} b w where the word's frontier holds w^{-1} b w tau^{-1}, so
 survey_batch moves tau onto the frontier once per wall group, {y * tau},
 and looks w^{-1} b w up in it; and for infinite Lambda_G it tests eta_G(w)
 against the window of x by tau, since eta_G(u * tau) = eta_G(tau) and
@@ -75,7 +76,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -336,13 +336,6 @@ def default_cutoff(ctx: AffineWeyl, xid: int, cls: SigmaConjClass) -> int:
     return ctx.length(xid) + int(extra) + 2 * coxeter_number(ctx.datum)
 
 
-def affine_ball(ctx: AffineWeyl, max_len: int):
-    """All elements of the affine Weyl group (no omega part) of length <= max_len."""
-    ball = closure([ctx.identity], lambda u: [
-        v for v in (ctx.mul(u, g) for g in ctx.gens) if ctx.length(v) <= max_len])
-    return {v: ctx.length(v) for v in ball}
-
-
 def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
     """
     The omega parts to sweep: all of Omega_G when the fundamental group is
@@ -365,60 +358,86 @@ class Sweep(NamedTuple):
     """
     The sweep a context keeps (AffineWeyl.sweep): every w = u * tau with
     ell(u) <= cutoff and tau in union, sorted by (length, text), and per
-    sweep position the length, the tau and the central class index of w.
-    The class indices number the classes of w modulo central translations
-    in order of first position; without central cocharacters every w is its
-    own class and classes is range(len(ws)).  conj_tables maps the element
-    id of a class representative b to its conjugate table, an array over
-    class indices holding w^{-1} b w, -1 where not filled yet.
+    sweep position the length, the tau and the central class id of w.  The
+    class ids number the classes of w modulo central translations once per
+    context, so growth keeps every id; without central cocharacters every w
+    is its own class.  conj_tables maps the element id of a class
+    representative b to its conjugate table, an array over class ids holding
+    w^{-1} b w, -1 where not filled yet; growth extends it with -1.  For
+    growth the sweep also keeps its ball u -> ell(u), the text of w per
+    position, and per central class of tau the class ids over the ball.
     """
     cutoff: int
     union: frozenset
     ws: list
     lengths: list
     taus: list
-    classes: Sequence[int]
+    classes: array
     nclasses: int
     conj_tables: dict
+    ball: dict
+    texts: list
+    tau_ids: dict
 
 
 def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
     """
-    The context's kept sweep, rebuilt first when it does not cover max_len
-    and omegas.  A rebuild grows it to the larger cutoff and the union of the
-    Omega sets, and drops its conjugate tables with its class indices.
+    The context's kept sweep, grown in place first when it does not cover
+    max_len and omegas, to the larger cutoff and the union of the Omega
+    sets.  A larger cutoff grows the ball from its top shell, and its new
+    u * tau are longer than every kept w, so they go after them; new tau
+    are merged into the (length, text) order.  ell(u * tau) = ell(u), and
+    each position keeps its text, so no kept w is formatted or measured
+    again; the class ids and the filled table entries stay.
     """
     kept = ctx.sweep
-    if kept is not None and max_len <= kept.cutoff and omegas <= kept.union:
+    if kept is None:
+        kept = Sweep(0, frozenset(), [], [], [], array("q"), 0, {},
+                     {ctx.identity: 0}, [], {})
+    elif max_len <= kept.cutoff and omegas <= kept.union:
         return kept
-    cutoff, union = max_len, omegas
-    if kept is not None:
-        cutoff, union = max(max_len, kept.cutoff), omegas | kept.union
-    ball = affine_ball(ctx, cutoff)
-    omega_list = list(union)
-    nt = len(omega_list)
-    # w = u * tau is coded iu * nt + it by the positions of u and tau
-    code_of = {ctx.mul(u, tau): iu * nt + it
-               for iu, u in enumerate(ball) for it, tau in enumerate(omega_list)}
-    ws = sorted(code_of, key=lambda w: (ctx.length(w), ctx.format(w)))
-    taus = [omega_list[code_of[w] % nt] for w in ws]
-    if ctx.datum.central_cocharacters:
-        # W~ = W_a x| Omega and a central t^z lies in Omega, so the central
-        # class of w = u * tau is the pair (u, central class of tau)
-        central: dict = {}
-        tau_class = [central.setdefault(ctx.central_class(tau), len(central))
-                     for tau in omega_list]
-        index: dict[tuple, int] = {}
-        classes = array("q")
-        for w in ws:
-            iu, it = divmod(code_of[w], nt)
-            classes.append(index.setdefault((iu, tau_class[it]), len(index)))
-        nclasses = len(index)
-    else:
-        classes = range(len(ws))
-        nclasses = len(ws)
-    kept = ctx.sweep = Sweep(cutoff, union, ws, [ctx.length(w) for w in ws],
-                             taus, classes, nclasses, {})
+    cutoff, union = max(max_len, kept.cutoff), omegas | kept.union
+    ball, tau_ids, nclasses = kept.ball, kept.tau_ids, kept.nclasses
+    old = len(ball)
+    shell = [u for u, n in ball.items() if n == kept.cutoff]
+    for u in closure(shell, lambda u: [
+            v for v in (ctx.mul(u, g) for g in ctx.gens)
+            if kept.cutoff < ctx.length(v) <= cutoff])[len(shell):]:
+        ball[u] = ctx.length(u)
+    us = list(ball.items())
+    # W~ = W_a x| Omega and a central t^z lies in Omega, so the central
+    # class of w = u * tau is the pair (u, central class of tau)
+    for ids in tau_ids.values():
+        ids.extend(range(nclasses, nclasses + len(us) - old))
+        nclasses += len(us) - old
+    # new u go after every kept w; a new tau is merged in from the first
+    # shell on, so the kept positions before start stay
+    columns = (kept.lengths, kept.texts, kept.ws, kept.taus, kept.classes)
+    start = 0 if union > kept.union else len(kept.ws)
+    tail = [col[start:] for col in columns]
+    lengths, texts, ws, taus, classes = tail
+    for tau in union:
+        tc = ctx.central_class(tau)
+        ids = tau_ids.get(tc)
+        if ids is None:
+            ids = tau_ids[tc] = array("q", range(nclasses, nclasses + len(us)))
+            nclasses += len(us)
+        for iu in range(old if tau in kept.union else 0, len(us)):
+            u, n = us[iu]
+            lengths.append(n)
+            ws.append(ctx.mul(u, tau))
+            taus.append(tau)
+            classes.append(ids[iu])
+    texts.extend(ctx.format(w) for w in ws[len(texts):])
+    # by (length, text): a stable sort by length of the sort by text
+    order = sorted(range(len(ws)), key=texts.__getitem__)
+    order.sort(key=lengths.__getitem__)
+    for col, values in zip(columns, tail):
+        del col[start:]
+        col.extend(values[i] for i in order)
+    for table in kept.conj_tables.values():
+        table.extend(array("q", [-1]) * (nclasses - len(table)))
+    kept = ctx.sweep = kept._replace(cutoff=cutoff, union=union, nclasses=nclasses)
     return kept
 
 
@@ -630,7 +649,7 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
             c = classes[pos]
             btilde = conjs[c]
             if btilde < 0:
-                btilde = conjs[c] = ctx.conj(ctx.inv(ws[pos]), b)
+                btilde = conjs[c] = ctx.conj_inv(ws[pos], b)
             for x, frontier in shifted:
                 got = frontier.get(btilde)
                 if got is None:
@@ -683,12 +702,7 @@ def superset(ctx: AffineWeyl, cls: SigmaConjClass, cutoff: int):
     for y in closure([ctx.identity], up):
         out |= H.support(qs[y])
     # omega parts of y contribute conjugated supports
-    full = set()
-    for tau in omegas:
-        ti = ctx.inv(tau)
-        for z in out:
-            full.add(ctx.mul(ctx.mul(ti, z), tau))
-    return full
+    return {ctx.conj_inv(tau, z) for tau in omegas for z in out}
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +807,7 @@ def reduce_to_basic(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
         if not table:
             continue
         pprime = conj_parabolic(p, datum.weyl.inv[wfin])
-        btilde = ctx.conj(ctx.inv(w), b)
+        btilde = ctx.conj_inv(w, b)
         if ctx.length_levi(btilde, pprime) != 0:
             raise RuntimeError("the conjugated representative is not basic over the Levi")
         for y, dinf in sorted(table.items()):

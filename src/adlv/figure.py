@@ -57,11 +57,13 @@ def embed(gram):
     return ((a, b), (0.0, c))
 
 
-def alcove_polygon(ctx: AffineWeyl, xid: int):
-    """Exact rational plane coordinates of the vertices of x.a."""
+def alcove_polygon(ctx: AffineWeyl, xid: int, verts):
+    """
+    Exact rational plane coordinates of the vertices of x.a, for verts the
+    vertices of the base alcove (RootDatum.base_alcove_vertices).
+    """
     datum = ctx.datum
     lam, w = ctx._elts[xid]
-    verts = datum.base_alcove_vertices()
     out = []
     for v in verts:
         img = datum.weyl.apply(w, v)
@@ -87,11 +89,12 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
         raise ValueError("figures are rank-2 only")
     bas, gram = drawing_basis(datum)
     E = embed(gram)
+    verts = datum.base_alcove_vertices()
 
     polys = []
     xs, ys = [], []
     for x, rec in records:
-        pts = [_to_xy(E, c) for c in alcove_polygon(ctx, x)]
+        pts = [_to_xy(E, c) for c in alcove_polygon(ctx, x, verts)]
         polys.append((pts, x, rec))
         for px, py in pts:
             xs.append(px)

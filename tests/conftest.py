@@ -1,7 +1,7 @@
 import pytest
 
 from adlv.affine import affine_context
-from adlv.roots import build_root_datum
+from adlv.roots import build_root_datum, closure
 
 
 @pytest.fixture(scope="session")
@@ -44,9 +44,15 @@ def gl3_ctx(gl3):
     return affine_context(gl3)
 
 
+def affine_ball(ctx, max_len):
+    """All elements of the affine Weyl group (no omega part) of length <= max_len."""
+    ball = closure([ctx.identity], lambda u: [
+        v for v in (ctx.mul(u, g) for g in ctx.gens) if ctx.length(v) <= max_len])
+    return {v: ctx.length(v) for v in ball}
+
+
 def ball_with_omega(ctx, max_len):
     """All extended elements of length <= max_len, sorted deterministically."""
-    from adlv.engine import affine_ball
     ball = affine_ball(ctx, max_len)
     try:
         om = list(ctx.omega_g_elements().values())

@@ -20,7 +20,7 @@ from adlv.alcoves import (is_p_alcove, is_shrunken, nu_x, omega_p_elements,
 from adlv.hecke import Hecke, poly_deg
 from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
                         standard_parabolic)
-from conftest import ball_with_omega
+from conftest import affine_ball, ball_with_omega
 
 
 def report(name, detail):
@@ -126,7 +126,7 @@ def test_criterion_04_shrunken_rule_a3():
     datum = build_root_datum("A", 3, "SL")
     ctx = affine_context(datum)
     cls = sg.classify(ctx, ctx.identity)
-    ball = eng.affine_ball(ctx, 10)
+    ball = affine_ball(ctx, 10)
     xs = sorted((u for u in ball
                  if ctx.omega_class(u) == cls.kappa and is_shrunken(ctx, u)),
                 key=lambda z: (ctx.length(z), ctx.format(z)))
@@ -150,7 +150,7 @@ def test_criterion_05_oracle_equivalence(spec):
     ctx = affine_context(datum)
     H = Hecke(ctx)
     pg = standard_parabolic(datum, frozenset(datum.simple_idx))
-    ball = eng.affine_ball(ctx, 8)
+    ball = affine_ball(ctx, 8)
     oms = list(ctx.omega_g_elements().values())
     ws = sorted({ctx.mul(u, t) for u, l in ball.items() if l <= 6 for t in oms},
                 key=lambda z: (ctx.length(z), ctx.format(z)))

@@ -13,7 +13,7 @@ from adlv.hecke import Hecke
 from adlv.roots import (RootDatum, SemistdParabolic, build_root_datum,
                         semistandard_levis, semistandard_parabolics,
                         standard_parabolic)
-from conftest import ball_with_omega, wall_from_k_alpha
+from conftest import affine_ball, ball_with_omega, wall_from_k_alpha
 
 
 def full_parabolic(datum):
@@ -325,7 +325,7 @@ def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
         return "empty-certified", None, None
     b, p, _corr = eng.class_data(ctx, cls)
     omegas = eng.omega_window(ctx, cls, [x, b])
-    sweep = sorted({ctx.mul(u, t) for u in eng.affine_ball(ctx, cutoff) for t in omegas},
+    sweep = sorted({ctx.mul(u, t) for u in affine_ball(ctx, cutoff) for t in omegas},
                    key=lambda w: (ctx.length(w), ctx.format(w)))
     best = best_w = None
     for w in sweep:
@@ -411,7 +411,7 @@ def test_gl_omega_window_sets_only_the_witness(monkeypatch, spec, key, max_len):
 
 
 def _reference_sweep(ctx, cutoff, omegas):
-    ball = eng.affine_ball(ctx, cutoff)
+    ball = affine_ball(ctx, cutoff)
     return sorted({ctx.mul(u, tau) for u in ball for tau in omegas},
                   key=lambda w: (ctx.length(w), ctx.format(w)))
 
@@ -491,7 +491,7 @@ def test_central_translates_share_profile_and_btilde(n):
     assert datum.central_cocharacters == ((1,) * n,)
     z = ctx.from_translation((1,) * n)
     rng = random.Random(n)
-    ball = sorted(eng.affine_ball(ctx, 6))
+    ball = sorted(affine_ball(ctx, 6))
     ws = rng.sample(ball, min(20, len(ball)))
     ws = [ctx.mul(w, ctx.parse(f"tau^{rng.randrange(-3, 4)}")) for w in ws]
     bs = rng.sample(ws, 5)
@@ -520,11 +520,15 @@ def test_central_translates_share_profile_and_btilde(n):
 def _check_kept_sweep(ctx):
     # the per-w data of the kept sweep against the functions it stands for
     kept = ctx.sweep
-    index = {}
-    want = [index.setdefault(ctx.central_class(w), len(index)) for w in kept.ws]
-    assert list(kept.classes) == want
-    assert kept.nclasses == len(index)
-    for w, tau in zip(kept.ws, kept.taus):
+    # two positions share a class id iff their w share a central class
+    id_of, class_of = {}, {}
+    for w, c in zip(kept.ws, kept.classes, strict=True):
+        assert 0 <= c < kept.nclasses
+        assert id_of.setdefault(ctx.central_class(w), c) == c, ctx.format(w)
+        assert class_of.setdefault(c, ctx.central_class(w)) == ctx.central_class(w)
+    assert kept.lengths == [ctx.length(w) for w in kept.ws]
+    assert kept.texts == [ctx.format(w) for w in kept.ws]
+    for w, tau in zip(kept.ws, kept.taus, strict=True):
         assert tau in kept.union
         assert ctx.omega_class(w) == ctx.omega_class(tau)
     filled = 0
@@ -571,6 +575,72 @@ def test_conjugate_tables_on_the_kept_sweep(spec):
                         ctx.format(x)
     assert len(builds) > 2 and filled
     assert len(ctx.sweep.conj_tables) > 1
+
+
+def _filled_entries(kept):
+    # {(b, w): w^{-1} b w} over the filled entries of the kept tables
+    return {(b, w): table[c] for b, table in kept.conj_tables.items()
+            for w, c in zip(kept.ws, kept.classes) if table[c] >= 0}
+
+
+@pytest.mark.parametrize("spec,key,grows", [
+    (("C", 2, "adjoint"), "trivial", "cutoff"),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", "union"),
+])
+def test_conjugate_tables_survive_growth(spec, key, grows):
+    # a table entry filled before the kept sweep grows is still there, and
+    # exact, after it, with no solve in between to fill it again, and every
+    # kept w keeps its class id: C2 grows the cutoff, which appends to the
+    # kept order; GL3 grows the Omega union by a wider window, which merges
+    # new tau into it
+    ctx = affine_context(RootDatum(*spec))
+    cls = parse_class_key(ctx, key)
+    xs = [x for x in survey_elements(ctx, cls, 4)
+          if eng.emptiness_certificate(ctx, x, cls) is None]
+
+    def spread(x):
+        return max(map(abs, ctx.translation(x)))
+
+    narrow, wide = min(xs, key=spread), max(xs, key=spread)
+    eng.solve(ctx, narrow, cls, 6)
+    before = ctx.sweep
+    # the growth extends the kept lists in place, so copy what it must keep
+    ws, ids = list(before.ws), dict(zip(before.ws, before.classes))
+    filled = _filled_entries(before)
+    assert filled
+    if grows == "cutoff":
+        kept = eng.kept_sweep(ctx, 9, before.union)
+    else:
+        kept = eng.kept_sweep(ctx, 6, frozenset(eng.omega_window(ctx, cls, [wide])))
+    assert kept is ctx.sweep
+    assert (kept.cutoff > before.cutoff) == (grows == "cutoff")
+    assert (kept.union > before.union) == (grows == "union")
+    if grows == "cutoff":
+        assert kept.ws[:len(ws)] == ws
+    assert {w: c for w, c in zip(kept.ws, kept.classes) if w in ids} == ids
+    # a new w that shares its class with a kept one finds it filled too
+    assert filled.items() <= _filled_entries(kept).items()
+    _check_kept_sweep(ctx)
+    # and a solve on the grown sweep fills more, all exact
+    eng.solve(ctx, wide, cls, kept.cutoff)
+    assert len(_filled_entries(ctx.sweep)) > len(filled)
+    _check_kept_sweep(ctx)
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"),
+                                  ("G", 2, "adjoint"), ("GL", 3, "")])
+def test_conj_inv_closed_form(spec):
+    # w^{-1} b w in closed form against conj and inv, over the length-3 ball
+    # times Omega_G, or times tau^k, k in {-2, 0, 1, 3}, for GL3
+    ctx = affine_context(build_root_datum(*spec))
+    ws = ball_with_omega(ctx, 3)
+    if ctx.datum.lambda_g.order() is None:
+        ws = [ctx.mul(w, ctx.parse(f"tau^{k}")) for w in ws for k in (-2, 0, 1, 3)]
+    assert len({ctx.omega_class(w) for w in ws}) == (ctx.datum.lambda_g.order() or 4)
+    bs = random.Random(7).sample(ws, 12)
+    for w in ws:
+        for b in bs:
+            assert ctx.conj_inv(w, b) == ctx.conj(ctx.inv(w), b), ctx.format(w)
 
 
 def test_survey_stop_at_first_statuses(a2_ctx, c2_ctx, gl3_ctx):
