@@ -149,16 +149,44 @@ class AffineWeyl:
 
     def conj_inv(self, g: int, x: int) -> int:
         """
-        g^{-1} x g, in closed form: for g = (lam, u) and x = (mu, v) it is
-        (u^{-1}(mu + v lam - lam), u^{-1} v u).  Interns no g^{-1}.
+        g^{-1} x g, in closed form through conj_inv_map of the finite part
+        of g.  Interns no g^{-1}.
         """
         lam, u = self._elts[g]
+        return self.conj_inv_map(u, x)(lam)
+
+    def conj_inv_map(self, u: int, x: int):
+        """
+        g -> g^{-1} x g on the g with finite part u, as a function of the
+        translation part lam of g = (lam, u): with x = (mu, v), g^{-1} x g =
+        (u^{-1}(mu + v lam - lam), u^{-1} v u), whose translation part is the
+        affine map lam -> A lam + c, A = u^{-1}(v - 1) and c = u^{-1} mu.
+        Built once per (u, x), it costs one matrix product per g.
+        """
         mu, v = self._elts[x]
         W = self.datum.weyl
         ui = W.inv[u]
-        return self.intern(W.apply(ui, tuple(a + b - e for a, b, e in
-                                             zip(mu, W.apply(v, lam), lam))),
-                           W.mul(W.mul(ui, v), u))
+        uiv = W.mul(ui, v)
+        # A = u^{-1} v - u^{-1}, as rows
+        rows = tuple(tuple(map(operator.sub, r, s)) for r, s in zip(W.mats[uiv], W.mats[ui]))
+        c = W.apply(ui, mu)
+        f = W.mul(uiv, u)
+        intern, mul = self.intern, operator.mul
+
+        def at(lam):
+            return intern(tuple(sum(map(mul, row, lam)) + ci for row, ci in zip(rows, c)), f)
+
+        return at
+
+    def is_central(self, x: int) -> bool:
+        """
+        Whether x is central in W~: finite part e and a translation part
+        orthogonal to every root, so that g^{-1} x g = x for every g.
+        """
+        datum = self.datum
+        lam = self.translation(x)
+        return self.finite(x) == 0 and not any(datum.pairing(i, lam)
+                                               for i in range(datum.nposroots))
 
     # -- alcove coordinates ----------------------------------------------------
 
@@ -349,32 +377,42 @@ class AffineWeyl:
         row = self.steps.get(cid)
         if row is not None:
             return row
-        datum = self.datum
-        W = datum.weyl
-        npos = datum.nposroots
-        lam, u = self._elts[cid]
-        entries = []
-        for gen, g in enumerate(self.gens):
-            lg, wg = self._elts[g]
-            cs = self.intern(tuple(a + b for a, b in zip(lam, W.apply(u, lg))),
-                             W.mul(u, wg))
-            if gen == 0:
-                base_root, base_level = datum.theta_idx, 1
-            else:
-                base_root, base_level = datum.simple_idx[gen - 1], 0
-            beta = W.root_act[u][base_root]
-            j = base_level
-            if beta >= npos:
-                beta -= npos
-                j = -j
-            j += datum.pairing(beta, lam)
-            kc = self.k_alpha(beta, cid)
-            if kc != j and kc != j + 1:
-                raise RuntimeError("step must cross the computed wall")
-            entries.append((cs, beta, j, kc == j + 1))
-        row = tuple(entries)
+        row = tuple((self.mul(cid, g), *self._wall(cid, gen))
+                    for gen, g in enumerate(self.gens))
         self.steps[cid] = row
         return row
+
+    def _wall(self, cid: int, gen: int) -> tuple[int, int, bool]:
+        """
+        (beta, j, upper) for the step c -> c * s_gen: the wall {beta = j}
+        between the two alcoves, beta the index of a positive root, and
+        whether c.a lies on its upper side {beta > j}.
+        """
+        datum = self.datum
+        npos = datum.nposroots
+        lam, u = self._elts[cid]
+        if gen == 0:
+            base_root, j = datum.theta_idx, 1
+        else:
+            base_root, j = datum.simple_idx[gen - 1], 0
+        beta = datum.weyl.root_act[u][base_root]
+        if beta >= npos:
+            beta -= npos
+            j = -j
+        j += datum.pairing(beta, lam)
+        kc = self.k_alpha(beta, cid)
+        if kc != j and kc != j + 1:
+            raise RuntimeError("step must cross the computed wall")
+        return beta, j, kc == j + 1
+
+    def ascends(self, cid: int, gen: int) -> bool:
+        """
+        Whether ell(c * s_gen) = ell(c) + 1: the crossed wall {beta = j}
+        does not separate c.a from a, which lies on its upper side exactly
+        when j <= 0, since 0 < beta < 1 on a.
+        """
+        _beta, j, upper = self._wall(cid, gen)
+        return upper == (j <= 0)
 
     def wall_data(self, cid: int, gen: int) -> tuple[int, int, bool]:
         """

@@ -40,8 +40,9 @@ Wall patterns.  A fold over the reduced words of the x meets only finitely
 many walls {beta = j}, and reads the profile m_J only through the tests
 j >= m_J(beta) at those walls.  So the w of a sweep fall into wall patterns,
 the classes of w that pass the same tests, and all w of one pattern have the
-same dimension tables: survey_batch folds once per pattern and looks every
-w of the pattern up in the shared frontiers.
+same dimension tables: survey_batch folds once per pattern and looks the
+w of the pattern up in the shared frontiers, once per distinct w^{-1} b w
+(and tau, where the x accept w by tau).
 
 Central translates.  A central cocharacter z, one orthogonal to every root
 (Z(1,..,1) for GL_n, none for the other supported data), gives a central
@@ -60,16 +61,20 @@ Conjugate tables.  None of the per-w data of a sweep depends on x: the tau
 of w = u * tau, its central class, and for a class representative b the
 element w^{-1} b w that the stratum of w reads.  So the context keeps them
 with its sweep (kept_sweep): tau and the class id per sweep position, and
-per b a conjugate table over the class ids, filled by survey_batch with
-AffineWeyl.conj_inv as it first meets a class and read by every later
-query or survey of that class on the context.  Growing the sweep keeps
-every class id and every filled entry, and extends the tables with
-unfilled ones.  Two more per-w steps go by tau alone: x = word * tau meets
-w^{-1} b w where the word's frontier holds w^{-1} b w tau^{-1}, so
-survey_batch moves tau onto the frontier once per wall group, {y * tau},
-and looks w^{-1} b w up in it; and for infinite Lambda_G it tests eta_G(w)
-against the window of x by tau, since eta_G(u * tau) = eta_G(tau) and
-eta_G is injective on Omega.
+per b a conjugate table over the class ids, read by every later query or
+survey of that class on the context.  survey_batch fills an entry as it
+first meets the class, through one affine map per finite part u of w
+(AffineWeyl.conj_inv_map): for w = (lam, u), w^{-1} b w is A_u lam + c_u
+with the finite part u^{-1} v u.  A central b (AffineWeyl.is_central: the
+trivial class, and GL_n classes with central Newton point) has w^{-1} b w =
+b for every w, so its table is created filled with b.  Growing the sweep
+keeps every class id and every filled entry, and extends the tables with
+unfilled entries, or with b for a central b.  Two more per-w steps go by
+tau alone: x = word * tau meets w^{-1} b w where the word's frontier holds
+w^{-1} b w tau^{-1}, so survey_batch moves tau onto the frontier once per
+wall group, {y * tau}, and looks w^{-1} b w up in it; and for infinite
+Lambda_G it tests eta_G(w) against the window of x by tau, since
+eta_G(u * tau) = eta_G(tau) and eta_G is injective on Omega.
 """
 
 from __future__ import annotations
@@ -363,9 +368,10 @@ class Sweep(NamedTuple):
     context, so growth keeps every id; without central cocharacters every w
     is its own class.  conj_tables maps the element id of a class
     representative b to its conjugate table, an array over class ids holding
-    w^{-1} b w, -1 where not filled yet; growth extends it with -1.  For
-    growth the sweep also keeps its ball u -> ell(u), the text of w per
-    position, and per central class of tau the class ids over the ball.
+    w^{-1} b w, -1 where not filled yet; it is created, and extended by
+    growth, with b for a central b and with -1 for any other.  For growth
+    the sweep also keeps its ball u -> ell(u), the text of w per position,
+    and per central class of tau the class ids over the ball.
     """
     cutoff: int
     union: frozenset
@@ -384,11 +390,13 @@ def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
     """
     The context's kept sweep, grown in place first when it does not cover
     max_len and omegas, to the larger cutoff and the union of the Omega
-    sets.  A larger cutoff grows the ball from its top shell, and its new
-    u * tau are longer than every kept w, so they go after them; new tau
-    are merged into the (length, text) order.  ell(u * tau) = ell(u), and
-    each position keeps its text, so no kept w is formatted or measured
-    again; the class ids and the filled table entries stay.
+    sets.  A larger cutoff grows the ball from its top shell by the ascents
+    u * s_i of AffineWeyl.ascends, each one longer than u, so no u * s_i is
+    measured and no descent is multiplied out; the new u * tau are longer
+    than every kept w, so they go after them.  New tau are merged into the
+    (length, text) order.  ell(u * tau) = ell(u), and each position keeps
+    its text, so no kept w is formatted or measured again; the class ids and
+    the filled table entries stay.
     """
     kept = ctx.sweep
     if kept is None:
@@ -399,11 +407,17 @@ def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
     cutoff, union = max(max_len, kept.cutoff), omegas | kept.union
     ball, tau_ids, nclasses = kept.ball, kept.tau_ids, kept.nclasses
     old = len(ball)
-    shell = [u for u, n in ball.items() if n == kept.cutoff]
-    for u in closure(shell, lambda u: [
-            v for v in (ctx.mul(u, g) for g in ctx.gens)
-            if kept.cutoff < ctx.length(v) <= cutoff])[len(shell):]:
-        ball[u] = ctx.length(u)
+
+    def up(u):
+        # the u * s_i one longer than u, entered in the ball with that length
+        n = ball[u] + 1
+        if n > cutoff:
+            return ()
+        ups = [ctx.mul(u, g) for i, g in enumerate(ctx.gens) if ctx.ascends(u, i)]
+        ball.update(dict.fromkeys(ups, n))
+        return ups
+
+    closure([u for u, n in ball.items() if n == kept.cutoff], up)
     us = list(ball.items())
     # W~ = W_a x| Omega and a central t^z lies in Omega, so the central
     # class of w = u * tau is the pair (u, central class of tau)
@@ -435,8 +449,8 @@ def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
     for col, values in zip(columns, tail):
         del col[start:]
         col.extend(values[i] for i in order)
-    for table in kept.conj_tables.values():
-        table.extend(array("q", [-1]) * (nclasses - len(table)))
+    for b, table in kept.conj_tables.items():
+        table.extend(array("q", [b if ctx.is_central(b) else -1]) * (nclasses - len(table)))
     kept = ctx.sweep = kept._replace(cutoff=cutoff, union=union, nclasses=nclasses)
     return kept
 
@@ -572,13 +586,17 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     walls {beta = j} of fold_walls, so wall_key, which counts for each
     positive beta the walls below profile[beta], fixes every fold decision.
     The sweep groups the w by key, folds once per group in the order of the
-    group's first sweep position, and looks up every member of the group in
+    group's first sweep position, and looks the members of the group up in
     those frontiers; between equal strata the lowest sweep position wins,
-    which is the first w in sweep order.  Only one group's frontiers are
-    held at a time.  The profile and the wall key of w are computed once
-    per central class of w per call; w^{-1} b w once per central class and
-    context, in the conjugate table of b on the kept sweep, and the tau of
-    each x goes onto its frontier once per group (see the module docstring).
+    which is the first w in sweep order.  A member is looked up only when no
+    earlier member of its group had its w^{-1} b w, and its tau when each x
+    accepts w by tau (infinite Lambda_G): two members with one key pass
+    every test alike and the later one loses every tie, also under
+    stop_at_first.  Only one group's frontiers are held at a time.  The
+    profile and the wall key of w are computed once per central class of w
+    per call; w^{-1} b w once per central class and context, in the
+    conjugate table of b on the kept sweep, and the tau of each x goes onto
+    its frontier once per group (see the module docstring).
 
     With stop_at_first each x takes the first w of the sweep with a
     non-empty stratum, and the sweep ends once no later group can hold an
@@ -612,7 +630,11 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     ws, taus, classes = kept.ws, kept.taus, kept.classes
     conjs = kept.conj_tables.get(b)
     if conjs is None:
-        conjs = kept.conj_tables[b] = array("q", [-1]) * kept.nclasses
+        # w^{-1} b w = b for every w when b is central
+        conjs = kept.conj_tables[b] = \
+            array("q", [b if ctx.is_central(b) else -1]) * kept.nclasses
+    # u -> the map lam -> w^{-1} b w on the w = (lam, u), built on first use
+    maps = {}
     # wall key -> (profile of its first w, [sweep position, ...]), in the
     # order of first positions; the key is computed once per central class
     groups: dict[tuple, tuple] = {}
@@ -645,11 +667,22 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
         shifted = [(x, frontiers[u] if tau == ctx.identity else
                     {ctx.mul(y, tau): d for y, d in frontiers[u].items()})
                    for u, xs in need.items() for x, tau in xs]
+        seen = set()
         for pos in members:
             c = classes[pos]
             btilde = conjs[c]
             if btilde < 0:
-                btilde = conjs[c] = ctx.conj_inv(ws[pos], b)
+                u = ctx.finite(ws[pos])
+                at = maps.get(u)
+                if at is None:
+                    at = maps[u] = ctx.conj_inv_map(u, b)
+                btilde = conjs[c] = at(ctx.translation(ws[pos]))
+            # a member whose key an earlier one had passes every test alike
+            # and loses every tie to it, also under stop_at_first
+            key = btilde if allowed is None else (btilde, taus[pos])
+            if key in seen:
+                continue
+            seen.add(key)
             for x, frontier in shifted:
                 got = frontier.get(btilde)
                 if got is None:

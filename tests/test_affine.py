@@ -340,6 +340,20 @@ def test_step_table_matches_mul_and_walls(spec):
         assert ctx.step_row(c) is row
 
 
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"), ("G", 2, "adjoint"),
+                                  ("GL", 3, ""), ("A", 3, ""), ("D", 4, "")])
+def test_ascends_is_the_length_step(spec):
+    # the ascent test, read off the crossed wall, against two lengths
+    ctx = affine_context(build_root_datum(*spec))
+    ascents = 0
+    for c in ball_with_omega(ctx, 5):
+        for i, g in enumerate(ctx.gens):
+            up = ctx.length(ctx.mul(c, g)) == ctx.length(c) + 1
+            assert ctx.ascends(c, i) == up, (ctx.format(c), i)
+            ascents += up
+    assert ascents
+
+
 def test_step_table_wall_check_raises():
     # the wall check is an explicit exception, so it also runs under -O
     ctx = AffineWeyl(build_root_datum("A", 2, "SL"))

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -631,16 +632,110 @@ def test_conjugate_tables_survive_growth(spec, key, grows):
                                   ("G", 2, "adjoint"), ("GL", 3, "")])
 def test_conj_inv_closed_form(spec):
     # w^{-1} b w in closed form against conj and inv, over the length-3 ball
-    # times Omega_G, or times tau^k, k in {-2, 0, 1, 3}, for GL3
+    # times Omega_G, or times tau^k, k in {-2, 0, 1, 3}, for GL3; one affine
+    # map per (finite part of w, b), as the conjugate tables are filled, is
+    # applied to the translation part of every w with that finite part
     ctx = affine_context(build_root_datum(*spec))
     ws = ball_with_omega(ctx, 3)
     if ctx.datum.lambda_g.order() is None:
         ws = [ctx.mul(w, ctx.parse(f"tau^{k}")) for w in ws for k in (-2, 0, 1, 3)]
     assert len({ctx.omega_class(w) for w in ws}) == (ctx.datum.lambda_g.order() or 4)
     bs = random.Random(7).sample(ws, 12)
-    for w in ws:
-        for b in bs:
-            assert ctx.conj_inv(w, b) == ctx.conj(ctx.inv(w), b), ctx.format(w)
+    for b in bs:
+        maps = {}
+        for w in ws:
+            u = ctx.finite(w)
+            if u not in maps:
+                maps[u] = ctx.conj_inv_map(u, b)
+            want = ctx.conj(ctx.inv(w), b)
+            assert ctx.conj_inv(w, b) == want, ctx.format(w)
+            assert maps[u](ctx.translation(w)) == want, ctx.format(w)
+        assert len(maps) < len(ws)
+
+
+@pytest.mark.parametrize("spec,key", [
+    (("A", 2, "SL"), "trivial"),
+    (("GL", 3, ""), "nu=[1,1,1];kappa=[0,0,3]"),
+])
+def test_central_class_table_is_prefilled(spec, key):
+    # for a central b the table survey_batch creates holds b at every class
+    # id, exact by the kept-sweep check, and growth of the cutoff and of the
+    # Omega set extends it with b, so no entry is ever filled
+    ctx = affine_context(RootDatum(*spec))
+    cls = parse_class_key(ctx, key)
+    b = eng.class_data(ctx, cls)[0]
+    assert ctx.is_central(b)
+    xs = survey_elements(ctx, cls, 3)
+    eng.survey_batch(ctx, cls, xs, 5)
+    table = ctx.sweep.conj_tables[b]
+    assert list(table) == [b] * ctx.sweep.nclasses
+    assert _check_kept_sweep(ctx) == len(ctx.sweep.ws)
+    before = ctx.sweep.nclasses
+    wider = ctx.sweep.union | frozenset(ctx.mul(t, t) for t in ctx.sweep.union)
+    kept = eng.kept_sweep(ctx, 7, wider)
+    assert kept.nclasses > before and kept.conj_tables[b] is table
+    assert list(table) == [b] * kept.nclasses
+    assert _check_kept_sweep(ctx) == len(kept.ws)
+
+
+def test_noncentral_class_table_starts_unfilled():
+    # for a non-central b the table starts at -1 and survey_batch fills the
+    # entries of the w it sweeps: on a sweep kept to length 7, a survey to
+    # cutoff 4 leaves the classes of the longer w unfilled
+    ctx = affine_context(RootDatum("C", 2, "adjoint"))
+    cls = sg.classify(ctx, ctx.from_translation((1, 0)))
+    b = eng.class_data(ctx, cls)[0]
+    assert not ctx.is_central(b)
+    eng.sweep_elements(ctx, 7, eng.omega_window(ctx, cls, [b]))
+    xs = survey_elements(ctx, cls, 4)
+    eng.survey_batch(ctx, cls, xs, 4)
+    kept = ctx.sweep
+    assert kept.cutoff == 7
+    table = kept.conj_tables[b]
+    end = bisect.bisect_right(kept.lengths, 4)
+    assert all(table[c] >= 0 for c in kept.classes[:end])
+    assert all(table[c] == -1 for c in kept.classes[end:])
+    _check_kept_sweep(ctx)
+
+
+@pytest.mark.parametrize("spec,key,b_text,central", [
+    (("A", 2, "SL"), "trivial", "e", True),
+    (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", "tau", False),
+    (("C", 2, "adjoint"), "trivial", "e", True),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", "t[1,0,0]", False),
+    # a central b whose tau windows meet a prefilled table
+    (("GL", 3, ""), "nu=[1,1,1];kappa=[0,0,3]", "t[1,1,1]", True),
+])
+def test_grouped_lookups_match_reference(spec, key, b_text, central):
+    # survey_batch looks up a member of a wall group only when no earlier
+    # member had its key, w^{-1} b w (with tau for GL's per-x windows); the
+    # status, dim and witness of every x, with and without stop_at_first,
+    # are still those of the per-w reference
+    ctx = affine_context(RootDatum(*spec))
+    cls = parse_class_key(ctx, key)
+    b = eng.class_data(ctx, cls)[0]
+    assert b == ctx.parse(b_text) and ctx.is_central(b) == central
+    xs = survey_elements(ctx, cls, 4)
+    cutoff = 6
+    for stop_at_first in (False, True):
+        batch = eng.survey_batch(ctx, cls, xs, cutoff, stop_at_first)
+        assert any(r.nonempty for r in batch.values())
+        for x in xs:
+            assert outcome(batch[x]) == \
+                reference_solve(ctx, x, cls, cutoff, stop_at_first), ctx.format(x)
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"), ("GL", 3, "")])
+def test_kept_sweep_grows_the_ball(spec):
+    # a sweep grown 0 -> 3 -> 7 by the ascent test holds the ball of length
+    # 7, with the lengths measured afresh
+    ctx = affine_context(RootDatum(*spec))
+    union = frozenset([ctx.identity])
+    for cutoff in (3, 7):
+        kept = eng.kept_sweep(ctx, cutoff, union)
+        assert kept.ball == affine_ball(ctx, cutoff)
+    assert kept.ws == _reference_sweep(ctx, 7, union)
+    _check_kept_sweep(ctx)
 
 
 def test_survey_stop_at_first_statuses(a2_ctx, c2_ctx, gl3_ctx):
