@@ -197,11 +197,6 @@ def pair_two_rho(datum, vec):
     return sum(map(operator.mul, datum.two_rho, vec))
 
 
-def pair_two_rho_n(p: SemistdParabolic, vec):
-    """<2 rho_N, vec> for P = MN."""
-    return sum(map(operator.mul, p.two_rho_n, vec))
-
-
 def omega_p_elements(ctx: AffineWeyl, p: SemistdParabolic, bound: int):
     """
     Elements of Omega_P (fundamental P-alcoves in Omega_M) whose eta_M normal

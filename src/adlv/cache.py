@@ -4,8 +4,7 @@ Append-only result cache for surveys and queries.
 Entries are JSON objects, one per line, in files under a cache directory.
 Keys are content hashes of (datum descriptor, operation, arguments,
 engine version); bumping ENGINE_VERSION invalidates everything.  Corrupt
-lines are skipped with a warning and never trusted; compaction rewrites the
-store atomically.
+lines are skipped with a warning and never trusted.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 ENGINE_VERSION = "2"
 
@@ -67,18 +65,6 @@ class CacheStore:
             self._fh.write(json.dumps({"key": key, "value": value},
                                       sort_keys=True) + "\n")
             self._fh.flush()
-
-    def compact(self):
-        """Rewrite the store with one line per key, atomically."""
-        if not self.directory:
-            return
-        self.close()
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for key in sorted(self._data):
-                fh.write(json.dumps({"key": key, "value": self._data[key]},
-                                    sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
 
     def close(self):
         if self._fh is not None:

@@ -40,9 +40,15 @@ Wall patterns.  A fold over the reduced words of the x meets only finitely
 many walls {beta = j}, and reads the profile m_J only through the tests
 j >= m_J(beta) at those walls.  So the w of a sweep fall into wall patterns,
 the classes of w that pass the same tests, and all w of one pattern have the
-same dimension tables: survey_batch folds once per pattern and looks the
-w of the pattern up in the shared frontiers, once per distinct w^{-1} b w
-(and tau, where the x accept w by tau).
+same dimension tables; the w of a pattern are looked up once per distinct
+w^{-1} b w (and tau, where the x accept w by tau).  Patterns that differ
+only at walls a fold never reaches fold alike, so survey_batch does not
+fold them one by one: it walks the prefix tree of the words depth first,
+refining a partition of the patterns.  All patterns start in one class at
+the root; at each step a class is split by the tests at the walls the step
+crosses out of the class's own frontier, and each part is folded once.  Each
+test is a threshold on the wall key (wall_key), so a class that keeps
+bounds on its keys skips a wall that cannot cut it in O(1).
 
 Central translates.  A central cocharacter z, one orthogonal to every root
 (Z(1,..,1) for GL_n, none for the other supported data), gives a central
@@ -72,8 +78,8 @@ keeps every class id and every filled entry, and extends the tables with
 unfilled entries, or with b for a central b.  Two more per-w steps go by
 tau alone: x = word * tau meets w^{-1} b w where the word's frontier holds
 w^{-1} b w tau^{-1}, so survey_batch moves tau onto the frontier once per
-wall group, {y * tau}, and looks w^{-1} b w up in it; and for infinite
-Lambda_G it tests eta_G(w) against the window of x by tau, since
+class at the node of x, {y * tau}, and looks w^{-1} b w up in it; and for
+infinite Lambda_G it tests eta_G(w) against the window of x by tau, since
 eta_G(u * tau) = eta_G(tau) and eta_G is injective on Omega.
 """
 
@@ -515,8 +521,8 @@ def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
 
 
 # ---------------------------------------------------------------------------
-# the sweep kernel (folding frontiers shared across all x and, per wall
-# pattern, across all w)
+# the sweep kernel (folding frontiers shared across all x and, per class of
+# wall patterns, across all w)
 
 def prefix_tree(ctx: AffineWeyl, words: dict):
     """
@@ -583,24 +589,32 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     The folding frontiers are shared twice.  Across the x, by a walk over the
     prefix tree of their reduced words.  Across the w, by wall pattern: a fold
     reads the profile of w only through the tests j >= profile[beta] at the
-    walls {beta = j} of fold_walls, so wall_key, which counts for each
-    positive beta the walls below profile[beta], fixes every fold decision.
-    The sweep groups the w by key, folds once per group in the order of the
-    group's first sweep position, and looks the members of the group up in
-    those frontiers; between equal strata the lowest sweep position wins,
-    which is the first w in sweep order.  A member is looked up only when no
-    earlier member of its group had its w^{-1} b w, and its tau when each x
-    accepts w by tau (infinite Lambda_G): two members with one key pass
-    every test alike and the later one loses every tie, also under
-    stop_at_first.  Only one group's frontiers are held at a time.  The
+    walls {beta = j} of fold_walls, and wall_key, which counts for each
+    positive beta the walls below profile[beta], turns each test into the
+    threshold wall_key[beta] <= (index of j in walls[beta]).  The sweep
+    groups the w by key, and one depth-first walk of the prefix tree refines
+    a partition of the groups: all groups start in one class at the root, and
+    at a child par * s_gi each class is split by the tests at the walls that
+    gi crosses out of the class's own frontier at par, then folded once.  A
+    class keeps bounds on wall_key[beta] over its groups, so a wall that
+    cannot cut it costs O(1).  Groups in one class have one fold history, so
+    one frontier serves them all, and only the frontiers on the current path
+    are held.  The x whose words end at a node are looked up there, in the
+    frontier of every class, for every member of its groups; between equal
+    strata the lowest sweep position wins, over all classes, which is the
+    first w in sweep order.  A member is looked up only when no earlier
+    member of its group had its w^{-1} b w, and its tau when each x accepts w
+    by tau (infinite Lambda_G): two members with one key pass every test
+    alike and the later one loses every tie, also under stop_at_first.  The
     profile and the wall key of w are computed once per central class of w
     per call; w^{-1} b w once per central class and context, in the
     conjugate table of b on the kept sweep, and the tau of each x goes onto
-    its frontier once per group (see the module docstring).
+    the frontier of each class at its node (see the module docstring).
 
     With stop_at_first each x takes the first w of the sweep with a
-    non-empty stratum, and the sweep ends once no later group can hold an
-    earlier one: the statuses are exact, the dimensions only lower bounds.
+    non-empty stratum: the statuses are exact, the dimensions only lower
+    bounds.  The walk visits every class either way, so stop_at_first does
+    not end it early; the results are those of the first w all the same.
     """
     results: dict[int, AdlvResult] = {}
     pending_words = {}
@@ -635,8 +649,12 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
             array("q", [b if ctx.is_central(b) else -1]) * kept.nclasses
     # u -> the map lam -> w^{-1} b w on the w = (lam, u), built on first use
     maps = {}
-    # wall key -> (profile of its first w, [sweep position, ...]), in the
-    # order of first positions; the key is computed once per central class
+    # wall key -> (profile of its first w, {lookup key: sweep position}), in
+    # the order of first positions; the key is computed once per central
+    # class.  A member whose lookup key, w^{-1} b w (with tau when each x
+    # accepts w by tau), an earlier member of its group had passes every
+    # test alike and loses every tie to it, also under stop_at_first, so
+    # only the first position of each lookup key is kept
     groups: dict[tuple, tuple] = {}
     class_keys: dict[int, tuple] = {}
     every = omegas == kept.union
@@ -649,55 +667,97 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
             profile = orientation_profile(ctx, p, ws[pos])
             key = class_keys[c] = wall_key(walls, profile)
             if key not in groups:
-                groups[key] = (profile, [])
-        groups[key][1].append(pos)
+                groups[key] = (profile, {})
+        btilde = conjs[c]
+        if btilde < 0:
+            u = ctx.finite(ws[pos])
+            at = maps.get(u)
+            if at is None:
+                at = maps[u] = ctx.conj_inv_map(u, b)
+            btilde = conjs[c] = at(ctx.translation(ws[pos]))
+        groups[key][1].setdefault(btilde if allowed is None else (btilde, taus[pos]), pos)
+    keys = list(groups)
+    profiles = [profile for profile, _ in groups.values()]
+    members = [list(firsts.values()) for _, firsts in groups.values()]
+    # the test j >= profile[beta] at the wall {beta = j} passes iff
+    # wall_key[beta] <= index[beta][j], the index of j in walls[beta]
+    index = [{j: i for i, j in enumerate(levels)} for levels in walls]
+    columns = list(zip(*keys))
+    children: dict[int, list] = {}
+    for u in order:
+        par, gi = parents[u]
+        children.setdefault(par, []).append((u, gi))
+    steps = ctx.steps
+
+    def refine(part, gi):
+        # the classes of part at its child by gi, each with its frontier; a
+        # class is (group ids, lo, hi, frontier), lo[beta] <= wall_key[beta]
+        # <= hi[beta] over its groups, and its bounds travel with its ids,
+        # so they may be tightened in place
+        frontier = part[3]
+        subs = [part[:3]]
+        crossed = () if len(part[0]) == 1 else \
+            {(steps.get(c) or ctx.step_row(c))[gi][1:3] for c in frontier}
+        for beta, j in crossed:
+            t = index[beta][j]
+            col = columns[beta]
+            cut = []
+            for gids, lo, hi in subs:
+                if lo[beta] <= t < hi[beta]:
+                    passed = [g for g in gids if col[g] <= t]
+                    if len(passed) == len(gids):
+                        hi[beta] = t
+                    elif not passed:
+                        lo[beta] = t + 1
+                    else:
+                        # a cut gives each half its own copies
+                        pass_hi = hi[:]
+                        pass_hi[beta] = t
+                        cut.append((passed, lo[:], pass_hi))
+                        gids = [g for g in gids if col[g] > t]
+                        lo, hi = lo[:], hi[:]
+                        lo[beta] = t + 1
+                cut.append((gids, lo, hi))
+            subs = cut
+        return [(gids, lo, hi, fold_step(ctx, frontier, gi, profiles[gids[0]]))
+                for gids, lo, hi in subs]
+
     # best[x] = (dim, sweep position, w) of the stratum kept so far
     best: dict[int, tuple | None] = dict.fromkeys(pending_words)
-    undecided = len(best)
-    for profile, members in groups.values():
-        if stop_at_first and not undecided and \
-                all(hit[1] < members[0] for hit in best.values()):
-            break
-        frontiers = {ctx.identity: {ctx.identity: 0}}
-        for u in order:
-            par, gi = parents[u]
-            frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
-        # x = word * tau meets btilde = w^{-1} b w where the word's frontier
-        # holds btilde * tau^{-1}, that is where {y * tau} holds btilde
-        shifted = [(x, frontiers[u] if tau == ctx.identity else
-                    {ctx.mul(y, tau): d for y, d in frontiers[u].items()})
-                   for u, xs in need.items() for x, tau in xs]
-        seen = set()
-        for pos in members:
-            c = classes[pos]
-            btilde = conjs[c]
-            if btilde < 0:
-                u = ctx.finite(ws[pos])
-                at = maps.get(u)
-                if at is None:
-                    at = maps[u] = ctx.conj_inv_map(u, b)
-                btilde = conjs[c] = at(ctx.translation(ws[pos]))
-            # a member whose key an earlier one had passes every test alike
-            # and loses every tie to it, also under stop_at_first
-            key = btilde if allowed is None else (btilde, taus[pos])
-            if key in seen:
-                continue
-            seen.add(key)
-            for x, frontier in shifted:
-                got = frontier.get(btilde)
-                if got is None:
-                    continue
-                if allowed is not None and taus[pos] not in allowed[x]:
-                    continue
-                cur = best[x]
-                if stop_at_first and cur is not None and cur[1] < pos:
-                    continue
-                val = stratum_value(got, corr2)
-                if cur is None:
-                    undecided -= 1
-                elif not stop_at_first and (val, -pos) <= (cur[0], -cur[1]):
-                    continue
-                best[x] = (val, pos, ws[pos])
+    root = (list(range(len(keys))), [min(col) for col in columns],
+            [max(col) for col in columns], {ctx.identity: 0})
+    # (node, generator from its parent, the parent's classes): a node's
+    # classes are built when it is visited, so only the path's are held
+    stack = [(ctx.identity, None, None)] if keys else []
+    while stack:
+        u, gi, above = stack.pop()
+        parts = [root] if above is None else \
+            [sub for part in above for sub in refine(part, gi)]
+        for x, tau in need.get(u, ()):
+            ok = None if allowed is None else allowed[x]
+            for gids, _lo, _hi, frontier in parts:
+                # x = word * tau meets btilde = w^{-1} b w where the word's
+                # frontier holds btilde * tau^{-1}, that is where {y * tau}
+                # holds btilde
+                if tau != ctx.identity:
+                    frontier = {ctx.mul(y, tau): d for y, d in frontier.items()}
+                for g in gids:
+                    for pos in members[g]:
+                        got = frontier.get(conjs[classes[pos]])
+                        if got is None:
+                            continue
+                        if ok is not None and taus[pos] not in ok:
+                            continue
+                        cur = best[x]
+                        if stop_at_first and cur is not None and cur[1] < pos:
+                            continue
+                        val = stratum_value(got, corr2)
+                        if cur is not None and not stop_at_first and \
+                                (val, -pos) <= (cur[0], -cur[1]):
+                            continue
+                        best[x] = (val, pos, ws[pos])
+        for v, g in children.get(u, ()):
+            stack.append((v, g, parts))
     for x, hit in best.items():
         if hit is None:
             results[x] = AdlvResult("empty-up-to-cutoff", cutoff=cutoff)

@@ -78,20 +78,6 @@ def poly_eval(v: int, q: int) -> int:
     return total
 
 
-def poly_str(v: int) -> str:
-    cs = poly_q_coeffs(v)
-    terms = []
-    for i, c in enumerate(cs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            base = "q" if i == 1 else f"q^{i}"
-            terms.append(base if c == 1 else f"{c}*{base}")
-    return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
-
-
 class Hecke:
     """Hecke algebra bound to an affine Weyl context.
 
@@ -164,11 +150,6 @@ class Hecke:
         prod = self.mul_basis(self.t(xid), yid)
         return prod.get(zid, 0)
 
-    def structure_deg(self, xid: int, yid: int, zid: int):
-        """deg_q C(x, y, z), or None when the constant vanishes."""
-        c = self.structure_constant(xid, yid, zid)
-        return poly_deg(c) if c else None
-
     def support(self, h: dict):
         return {u for u, c in h.items() if c}
 
@@ -178,6 +159,3 @@ class Hecke:
         for x in xids:
             out = self.mul_basis(out, x)
         return self.support(out)
-
-    def specialize(self, h: dict, q: int) -> dict:
-        return {u: poly_eval(c, q) for u, c in h.items() if poly_eval(c, q) != 0}

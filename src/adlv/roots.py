@@ -364,12 +364,6 @@ class RootDatum:
             self._lambda_cache[key] = got
         return got
 
-    def eta_finite(self, vec, levi_root_idxs=None):
-        """Image of a cocharacter in Lambda_M (M = G when no roots given)."""
-        lat = self.lambda_g if levi_root_idxs is None \
-            else self.levi_lattice_quotient(levi_root_idxs)
-        return lat.normal_form(vec)
-
     def dominant(self, vec):
         """The dominant representative of a rational coweight, canonical form."""
         v = list(self.coweight_nf_frac(vec))

@@ -26,11 +26,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def smith_normal_form(mat):
     """
     Smith normal form with transforms.
@@ -246,12 +241,6 @@ class LatticeQuotient:
             n *= m
         return n
 
-    def describe(self) -> str:
-        tors = [str(m) for m in self.invariants if m != 0]
-        free = sum(1 for m in self.moduli if m == 0)
-        parts = [f"Z/{t}" for t in tors] + (["Z^%d" % free] if free else [])
-        return " x ".join(parts) if parts else "0"
-
 
 def solve_integer(mat, target):
     """
@@ -274,8 +263,3 @@ def solve_integer(mat, target):
             return None
     # x = c' * U
     return tuple(sum(c_prime[i] * U[i][j] for i in range(k)) for j in range(k))
-
-
-def lattice_member(rows, target) -> bool:
-    """Is target in the Z-span of the given rows?"""
-    return solve_integer(rows, target) is not None

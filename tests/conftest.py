@@ -1,6 +1,9 @@
+import operator
+
 import pytest
 
 from adlv.affine import affine_context
+from adlv.hecke import poly_deg
 from adlv.roots import build_root_datum, closure
 
 
@@ -74,3 +77,14 @@ def wall_from_k_alpha(ctx, c, cs):
     kc, kcs = ctx.k_alpha(beta, c), ctx.k_alpha(beta, cs)
     assert abs(kc - kcs) == 1
     return beta, min(kc, kcs), kc > kcs
+
+
+def structure_deg(H, x, y, z):
+    """deg_q of the Hecke structure constant C(x, y, z), or None when it vanishes."""
+    c = H.structure_constant(x, y, z)
+    return poly_deg(c) if c else None
+
+
+def pair_two_rho_n(p, vec):
+    """<2 rho_N, vec> for P = MN."""
+    return sum(map(operator.mul, p.two_rho_n, vec))

@@ -15,12 +15,11 @@ import pytest
 from adlv import engine as eng
 from adlv import sigma as sg
 from adlv.affine import affine_context
-from adlv.alcoves import (is_p_alcove, is_shrunken, nu_x, omega_p_elements,
-                          pair_two_rho, pair_two_rho_n)
+from adlv.alcoves import is_p_alcove, is_shrunken, nu_x, omega_p_elements, pair_two_rho
 from adlv.hecke import Hecke, poly_deg
 from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
                         standard_parabolic)
-from conftest import affine_ball, ball_with_omega
+from conftest import affine_ball, ball_with_omega, pair_two_rho_n
 
 
 def report(name, detail):

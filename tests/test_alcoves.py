@@ -9,7 +9,7 @@ from adlv import roots
 from adlv.affine import affine_context
 from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
                         standard_parabolic)
-from conftest import ball_with_omega
+from conftest import ball_with_omega, pair_two_rho_n
 
 
 def s1_p2_parabolic(a2):
@@ -188,7 +188,7 @@ def test_fundamental_p_alcoves_and_nu(gl3_ctx):
     assert al.is_fundamental_p_alcove(ctx, x, p)
     nu = al.nu_x(ctx, x, p)
     assert nu == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-    assert al.pair_two_rho_n(p, nu) == 1 == ctx.length(x)
+    assert pair_two_rho_n(p, nu) == 1 == ctx.length(x)
 
 
 def test_gl_standard_block_reps_are_fundamental(gl3_ctx):
@@ -211,7 +211,7 @@ def test_omega_p_monoid(c2_ctx, gl3_ctx):
         for p in semistandard_parabolics(ctx.datum):
             els = al.omega_p_elements(ctx, p, 2)
             for x in els:
-                assert ctx.length(x) == al.pair_two_rho_n(p, al.nu_x(ctx, x, p))
+                assert ctx.length(x) == pair_two_rho_n(p, al.nu_x(ctx, x, p))
             for _ in range(min(40, len(els) ** 2)):
                 x = rng.choice(els)
                 y = rng.choice(els)

@@ -14,7 +14,7 @@ from adlv.hecke import Hecke
 from adlv.roots import (RootDatum, SemistdParabolic, build_root_datum,
                         semistandard_levis, semistandard_parabolics,
                         standard_parabolic)
-from conftest import affine_ball, ball_with_omega, wall_from_k_alpha
+from conftest import affine_ball, ball_with_omega, structure_deg, wall_from_k_alpha
 
 
 def full_parabolic(datum):
@@ -77,7 +77,7 @@ def test_oracle_equivalence_small(a2_ctx):
             # and the direct oracle on a sample of entries
             winv = ctx.inv(w)
             for y, dim in list(table.items())[:4]:
-                assert dim == H.structure_deg(x, ctx.mul(ctx.inv(y), winv), winv)
+                assert dim == structure_deg(H, x, ctx.mul(ctx.inv(y), winv), winv)
 
 
 def test_fold_is_hecke_degree_property():
@@ -787,6 +787,92 @@ def test_wall_key_fixes_the_fold(spec, class_key, max_len, cutoff):
                     (ctx.format(x), ctx.format(members[0]), ctx.format(w))
 
 
+@pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
+    (("C", 2, "adjoint"), "trivial", 6, 8),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 7),
+])
+def test_refinement_folds_once_per_fold_history(monkeypatch, spec, class_key,
+                                                max_len, cutoff):
+    # two wall groups fold alike at a node exactly when their folds passed
+    # the same tests at every step of its path, each at the walls crossed
+    # out of the group's own frontier; survey_batch folds once per class of
+    # groups per node, so its fold_step calls number the distinct (node,
+    # history of test vectors), found here by folding each group on its own
+    ctx = affine_context(build_root_datum(*spec))
+    cls = parse_class_key(ctx, class_key)
+    xs = survey_elements(ctx, cls, max_len)
+    profiles = {}
+    folds = []
+    wall_key, fold_step = eng.wall_key, eng.fold_step
+
+    def recording_key(walls, profile):
+        key = wall_key(walls, profile)
+        profiles.setdefault(key, profile)
+        return key
+
+    def counting_fold(*args):
+        folds.append(args[2])
+        return fold_step(*args)
+
+    monkeypatch.setattr(eng, "wall_key", recording_key)
+    monkeypatch.setattr(eng, "fold_step", counting_fold)
+    eng.survey_batch(ctx, cls, xs, cutoff)
+    monkeypatch.undo()
+    words = {x: ctx.reduced_word(x) for x in xs
+             if eng.emptiness_certificate(ctx, x, cls) is None}
+    parents, _need, order = eng.prefix_tree(ctx, words)
+    histories = set()
+    for profile in profiles.values():
+        frontiers = {ctx.identity: {ctx.identity: 0}}
+        history = {ctx.identity: ()}
+        for u in order:
+            par, gi = parents[u]
+            vector = set()
+            for c in frontiers[par]:
+                _cs, beta, j, _upper = ctx.step_row(c)[gi]
+                vector.add((beta, j, j >= profile[beta]))
+            history[u] = history[par] + (frozenset(vector),)
+            histories.add((u, history[u]))
+            frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
+    assert len(profiles) > 1 and order
+    assert len(folds) == len(histories) < len(profiles) * len(order)
+
+
+def test_survey_batch_matches_reference_on_random_batches():
+    # the refinement partitions the prefix tree of each batch differently;
+    # random subsets of a survey, in random order, with and without
+    # stop_at_first, still give every x the per-w reference's answer
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cases = {}
+    for spec, key, max_len, cutoff in [(("A", 2, "SL"), "trivial", 4, 5),
+                                       (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", 4, 5),
+                                       (("C", 2, "adjoint"), "trivial", 5, 6),
+                                       (("C", 2, "adjoint"), "nu=[1,0];kappa=[0,0]", 4, 6),
+                                       (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 5)]:
+        ctx = affine_context(build_root_datum(*spec))
+        cls = parse_class_key(ctx, key)
+        cases[spec, key] = (ctx, cls, survey_elements(ctx, cls, max_len), cutoff)
+    want = {}
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(sorted(cases)), st.data(), st.booleans())
+    def check(case, data, stop_at_first):
+        ctx, cls, xs, cutoff = cases[case]
+        batch = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=10,
+                                   unique=True))
+        got = eng.survey_batch(ctx, cls, batch, cutoff, stop_at_first)
+        assert set(got) == set(batch)
+        for x in batch:
+            if (case, x, stop_at_first) not in want:
+                want[case, x, stop_at_first] = reference_solve(ctx, x, cls, cutoff,
+                                                               stop_at_first)
+            assert outcome(got[x]) == want[case, x, stop_at_first], ctx.format(x)
+
+    check()
+    assert any(status == "nonempty" for status, _dim, _w in want.values())
+
+
 def test_p_alcove_parabolics_is_the_filtered_list(c2_ctx, gl3_ctx):
     for ctx in (c2_ctx, gl3_ctx):
         paras = semistandard_parabolics(ctx.datum)
@@ -972,8 +1058,8 @@ def test_rank_three_pipeline_smoke(spec):
             btilde = ctx.conj(ctx.inv(r.witness_w), b)
             H = Hecke(ctx)
             winv = ctx.inv(r.witness_w)
-            assert table[btilde] == H.structure_deg(
-                x, ctx.mul(ctx.inv(btilde), winv), winv) == r.dim
+            assert table[btilde] == structure_deg(
+                H, x, ctx.mul(ctx.inv(btilde), winv), winv) == r.dim
 
 
 def test_default_cutoff_formula(a2_ctx):

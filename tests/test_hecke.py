@@ -1,7 +1,7 @@
 import random
 
-from adlv.hecke import (Hecke, poly_deg, poly_eval, poly_q_coeffs, poly_qm1_coeffs,
-                        poly_str)
+from adlv.hecke import Hecke, poly_deg, poly_eval, poly_q_coeffs, poly_qm1_coeffs
+from conftest import structure_deg
 
 
 def rand_elements(ctx, rng, count, maxword):
@@ -16,8 +16,7 @@ def test_quadratic_relation(c2_ctx):
     prod = H.mul(H.t(s), H.t(s))
     assert poly_q_coeffs(prod[c2_ctx.identity]) == [0, 1]     # q
     assert poly_q_coeffs(prod[s]) == [-1, 1]                  # q - 1
-    assert H.structure_deg(s, s, s) == 1
-    assert poly_str(prod[s]) == "q - 1"
+    assert structure_deg(H, s, s, s) == 1
 
 
 def test_length_additive_products(c2_ctx):
@@ -30,7 +29,7 @@ def test_length_additive_products(c2_ctx):
             if ctx.length(ctx.mul(x, y)) == ctx.length(x) + ctx.length(y):
                 found += 1
                 assert H.mul(H.t(x), H.t(y)) == H.t(ctx.mul(x, y))
-                assert H.structure_deg(x, y, ctx.mul(x, y)) == 0
+                assert structure_deg(H, x, y, ctx.mul(x, y)) == 0
     assert found > 20
 
 
@@ -50,7 +49,7 @@ def test_structure_deg_inverse_pairs(c2_ctx, a2_ctx):
     for ctx in (c2_ctx, a2_ctx):
         H = Hecke(ctx)
         for x in rand_elements(ctx, rng, 25, 9):
-            assert H.structure_deg(x, ctx.inv(x), ctx.identity) == ctx.length(x)
+            assert structure_deg(H, x, ctx.inv(x), ctx.identity) == ctx.length(x)
     # stronger: C(x, x^{-1}, e) is exactly q^{ell(x)} (value check at q = 5)
     ctx = c2_ctx
     H = Hecke(ctx)
@@ -98,7 +97,8 @@ def test_specialization_q1_group_algebra(c2_ctx):
     rng = random.Random(36)
     for _ in range(25):
         x, y = rand_elements(ctx, rng, 2, 7)
-        spec = H.specialize(H.mul(H.t(x), H.t(y)), 1)
+        spec = {u: poly_eval(c, 1) for u, c in H.mul(H.t(x), H.t(y)).items()
+                if poly_eval(c, 1) != 0}
         assert spec == {ctx.mul(x, y): 1}
 
 
