@@ -16,8 +16,9 @@ used (one "adlv: ..." line on stderr), 2 = a disagreement was found in
 query, survey and figure take --cache-dir (default $ADLV_CACHE_DIR).  survey
 and figure share one driver, survey_results: the same x, the same default
 cutoff and the same cache entries.  A result is turned into JSON once, by
-AdlvResult.to_json, where it is computed (in a forked worker with --jobs);
-cache hits and worker results are used as JSON from there on.
+AdlvResult.to_json, where it is decided: with --jobs, a certified x in the
+parent, which prepares the survey before it forks, and a walked x in its
+forked worker.  Cache hits and worker results are used as JSON from there on.
 
 JSON output schema (version 1).  Survey records and query output carry:
 x, length, shrunken, eta1, eta2, class_key, computed {status, dim,
@@ -283,24 +284,90 @@ def survey_elements(ctx, cls, max_len):
             if ctx.omega_class(x) == cls.kappa]
 
 
-# (ctx, cls, cutoff) of the survey whose forked workers are running: set just
-# before the Pool forks, so that every worker inherits it
+# (ctx, batch) of the survey whose forked workers are running, batch from
+# engine.prepare_batch: set just before the fork, so that every worker
+# inherits it
 _survey_state = None
 
 
 def _survey_worker(chunk):
-    """Decide a chunk of element ids in a forked worker; {x: computed}."""
-    ctx, cls, cutoff = _survey_state
-    res = eng.survey_batch(ctx, cls, chunk, cutoff)
-    return {x: r.to_json(ctx) for x, r in res.items()}
+    """Walk a chunk of the pending x of the prepared batch; {x: computed}."""
+    ctx, batch = _survey_state
+    return {x: r.to_json(ctx) for x, r in eng.walk_batch(ctx, batch, chunk).items()}
+
+
+def fork_map(fn, chunks):
+    """
+    [fn(chunk) for chunk in chunks], each call in a child forked from this
+    process, so that it inherits everything built before the fork.  A child
+    sends its result, or the exception it raised, pickled through a pipe, and
+    ends in os._exit, so that it never returns into the caller and never
+    flushes the stdio buffers it inherited.  The parent re-raises a child's
+    exception, raises RuntimeError naming the wait status of a child that
+    ended without a result, and on any exception kills and reaps every child
+    it has not reaped yet.
+    """
+    # imported here, so that no other path pays for them at start-up
+    import pickle
+    import signal
+    children = []   # (pid, read end of its pipe), in chunk order
+    try:
+        for chunk in chunks:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = True, fn(chunk)
+                    except BaseException as exc:  # re-raised by the parent
+                        out = False, exc
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(out))
+                    code = 0
+                finally:
+                    os._exit(code)
+            # closed before the next fork, so that only this child holds the
+            # write end and the parent reads to its end of file
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = []
+        while children:
+            pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if not data:
+                raise RuntimeError(f"survey worker {pid} ended without a result "
+                                   f"(wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def survey_results(ctx, cls, max_len, cutoff, store, jobs):
     """
     (xs, cutoff, {x: computed}) for the survey of the class up to max_len:
     the cutoff defaults to max_len + 2h (h the Coxeter number), the records
-    come from the store when it holds them and go into it when computed, and
-    with jobs > 1 the uncached x are decided in forked worker processes.
+    come from the store when it holds them and go into it when computed.
+    With jobs > 1 this process prepares the uncached x once
+    (engine.prepare_batch: the certificates, the kept sweep and its wall
+    groups) and turns the certified ones into JSON; forked workers then
+    split only the walk of the others, each turning its own into JSON.
     """
     global _survey_state
     xs = survey_elements(ctx, cls, max_len)
@@ -318,19 +385,15 @@ def survey_results(ctx, cls, max_len, cutoff, store, jobs):
             todo.append(x)
             keys.append(key)
     if jobs > 1 and len(todo) > 8:
-        import multiprocessing as mp
-        # build the parabolics and fill the Levi-target memo before forking,
-        # so that the workers inherit them for the certificate pass instead
-        # of each filling its own, and record_for finds them too
-        semistandard_parabolics(ctx.datum)
-        for x in todo:
-            eng.emptiness_certificate(ctx, x, cls)
-        chunks = [ch for ch in (todo[i::jobs] for i in range(jobs)) if ch]
-        _survey_state = (ctx, cls, cutoff)
+        batch = eng.prepare_batch(ctx, cls, todo, cutoff)
+        for x, r in batch.certified.items():
+            results[x] = r.to_json(ctx)
+        pending = list(batch.words)
+        chunks = [ch for ch in (pending[i::jobs] for i in range(jobs)) if ch]
+        _survey_state = (ctx, batch)
         try:
-            with mp.get_context("fork").Pool(jobs) as pool:
-                for part in pool.map(_survey_worker, chunks):
-                    results.update(part)
+            for part in fork_map(_survey_worker, chunks):
+                results.update(part)
         finally:
             _survey_state = None
     elif todo:

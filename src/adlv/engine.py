@@ -33,8 +33,9 @@ component map, and the Levi obstruction (for every semistandard P with x.a a
 P-alcove, eta_M(x) must be an eta_M-value of a class over M whose Newton
 point is W-conjugate to that of b).  The sup over w is swept in length
 shells up to a cutoff, with the honest outcome "empty up to cutoff" when
-nothing is found.  One sweep kernel, survey_batch, does this for any number
-of x at once; solve is survey_batch on a single x.
+nothing is found.  One sweep kernel, survey_batch (prepare_batch, then
+walk_batch), does this for any number of x at once; solve is survey_batch
+on a single x.
 
 Wall patterns.  A fold over the reduced words of the x meets only finitely
 many walls {beta = j}, and reads the profile m_J only through the tests
@@ -43,19 +44,23 @@ the classes of w that pass the same tests, and all w of one pattern have the
 same dimension tables; the w of a pattern are looked up once per distinct
 w^{-1} b w (and tau, where the x accept w by tau).  Patterns that differ
 only at walls a fold never reaches fold alike, so survey_batch does not
-fold them one by one: it walks the prefix tree of the words depth first,
-refining a partition of the patterns.  All patterns start in one class at
-the root; at each step a class is split by the tests at the walls the step
-crosses out of the class's own frontier, and each part is folded once.  Each
-test is a threshold on the wall key (wall_key), so a class that keeps
-bounds on its keys skips a wall that cannot cut it in O(1).
+fold them one by one.  It runs in two steps.  prepare_batch decides the
+certificates and groups the w of the kept sweep by pattern over the walls
+of all the words; walk_batch then walks the prefix tree of the words depth
+first, refining a partition of the groups.  All groups start in one class
+at the root; at each step a class is split by the tests at the walls the
+step crosses out of the class's own frontier, and each part is folded once.
+Each test is a threshold on the wall key (wall_key), so a class that keeps
+bounds on its keys skips a wall that cannot cut it in O(1).  A walk over
+the words of some of the x meets only walls of the prepared groups, so
+survey --jobs prepares once and its workers walk parts of the x.
 
 Central translates.  A central cocharacter z, one orthogonal to every root
 (Z(1,..,1) for GL_n, none for the other supported data), gives a central
 element t^z of W~ with <beta, z> = 0 for every root beta.  So w and w * t^z
 have one finite part and one k(beta, w^{-1}.a) for every beta, hence one
 profile m_J and one wall pattern, and w^{-1} b w is the same element for
-both.  survey_batch computes the profile, the wall key and w^{-1} b w once
+both.  prepare_batch computes the profile, the wall key and w^{-1} b w once
 per class of w modulo central translations, but still visits every w in
 sweep order, because eta_G(w * t^z) moves with z and the acceptance test,
 the positions and the witnesses are per w.  The kept sweep numbers these
@@ -68,7 +73,7 @@ of w = u * tau, its central class, and for a class representative b the
 element w^{-1} b w that the stratum of w reads.  So the context keeps them
 with its sweep (kept_sweep): tau and the class id per sweep position, and
 per b a conjugate table over the class ids, read by every later query or
-survey of that class on the context.  survey_batch fills an entry as it
+survey of that class on the context.  prepare_batch fills an entry as it
 first meets the class, through one affine map per finite part u of w
 (AffineWeyl.conj_inv_map): for w = (lam, u), w^{-1} b w is A_u lam + c_u
 with the finite part u^{-1} v u.  A central b (AffineWeyl.is_central: the
@@ -77,7 +82,7 @@ b for every w, so its table is created filled with b.  Growing the sweep
 keeps every class id and every filled entry, and extends the tables with
 unfilled entries, or with b for a central b.  Two more per-w steps go by
 tau alone: x = word * tau meets w^{-1} b w where the word's frontier holds
-w^{-1} b w tau^{-1}, so survey_batch moves tau onto the frontier once per
+w^{-1} b w tau^{-1}, so walk_batch moves tau onto the frontier once per
 class at the node of x, {y * tau}, and looks w^{-1} b w up in it; and for
 infinite Lambda_G it tests eta_G(w) against the window of x by tau, since
 eta_G(u * tau) = eta_G(tau) and eta_G is injective on Omega.
@@ -575,6 +580,34 @@ def wall_key(walls: list, profile) -> tuple:
                  for beta, levels in enumerate(walls))
 
 
+class Batch(NamedTuple):
+    """
+    A survey_batch prepared up to its walk (prepare_batch).  certified holds
+    the results of the x a certificate decided, words the reduced words of
+    the others, the pending x, in input order.  The rest serves the walk:
+    corr2 of class_data, the Omega window of each x (allowed, None for
+    finite Lambda_G), the prefix tree of all pending words, index[beta]
+    mapping each level j of walls[beta] to its place, and the wall groups of
+    the kept sweep: columns[beta] the wall_key[beta] of each group, the
+    profile of its first w, and its members, the first sweep position of
+    each of its lookup keys.  sweep and conjs are the context's kept sweep
+    and the conjugate table of b; the positions hold until the sweep grows.
+    With no pending x the fields after words are None.
+    """
+    cutoff: int
+    certified: dict
+    words: dict
+    corr2: int | None = None
+    allowed: dict | None = None
+    tree: tuple | None = None
+    index: list | None = None
+    columns: list | None = None
+    profiles: list | None = None
+    members: list | None = None
+    sweep: Sweep | None = None
+    conjs: array | None = None
+
+
 def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
                  stop_at_first: bool = False):
     """
@@ -586,47 +619,53 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     the w whose component lies in it, so a result does not depend on how the
     x are split into batches.
 
-    The folding frontiers are shared twice.  Across the x, by a walk over the
-    prefix tree of their reduced words.  Across the w, by wall pattern: a fold
-    reads the profile of w only through the tests j >= profile[beta] at the
-    walls {beta = j} of fold_walls, and wall_key, which counts for each
-    positive beta the walls below profile[beta], turns each test into the
-    threshold wall_key[beta] <= (index of j in walls[beta]).  The sweep
-    groups the w by key, and one depth-first walk of the prefix tree refines
-    a partition of the groups: all groups start in one class at the root, and
-    at a child par * s_gi each class is split by the tests at the walls that
-    gi crosses out of the class's own frontier at par, then folded once.  A
-    class keeps bounds on wall_key[beta] over its groups, so a wall that
-    cannot cut it costs O(1).  Groups in one class have one fold history, so
-    one frontier serves them all, and only the frontiers on the current path
-    are held.  The x whose words end at a node are looked up there, in the
-    frontier of every class, for every member of its groups; between equal
-    strata the lowest sweep position wins, over all classes, which is the
-    first w in sweep order.  A member is looked up only when no earlier
-    member of its group had its w^{-1} b w, and its tau when each x accepts w
-    by tau (infinite Lambda_G): two members with one key pass every test
-    alike and the later one loses every tie, also under stop_at_first.  The
-    profile and the wall key of w are computed once per central class of w
-    per call; w^{-1} b w once per central class and context, in the
-    conjugate table of b on the kept sweep, and the tau of each x goes onto
-    the frontier of each class at its node (see the module docstring).
+    It is prepare_batch, which decides the certificates and builds the wall
+    groups of the sweep, then walk_batch over all pending x, on the prefix
+    tree the preparation built.  A caller that splits the walk (survey
+    --jobs) prepares once and walks each part with walk_batch.
 
     With stop_at_first each x takes the first w of the sweep with a
     non-empty stratum: the statuses are exact, the dimensions only lower
     bounds.  The walk visits every class either way, so stop_at_first does
     not end it early; the results are those of the first w all the same.
     """
-    results: dict[int, AdlvResult] = {}
-    pending_words = {}
+    batch = prepare_batch(ctx, cls, xids, cutoff)
+    return {**batch.certified, **walk_batch(ctx, batch, stop_at_first=stop_at_first)}
+
+
+def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Batch:
+    """
+    Everything of survey_batch before the walk, as a Batch: the certificates
+    of every x, and for the x they leave the reduced words, the class data,
+    the Omega windows, the prefix tree of the words, its walls (fold_walls),
+    the kept sweep grown to the cutoff, and the wall groups with their
+    members.
+
+    The folding frontiers are shared twice.  Across the x, by a walk over the
+    prefix tree of their reduced words.  Across the w, by wall pattern: a fold
+    reads the profile of w only through the tests j >= profile[beta] at the
+    walls {beta = j} of fold_walls, and wall_key, which counts for each
+    positive beta the walls below profile[beta], turns each test into the
+    threshold wall_key[beta] <= (index of j in walls[beta]).  The sweep
+    groups the w by key.  A member is kept only when no earlier member of its
+    group had its w^{-1} b w, and its tau when each x accepts w by tau
+    (infinite Lambda_G): two members with one key pass every test alike and
+    the later one loses every tie, also under stop_at_first.  The profile and
+    the wall key of w are computed once per central class of w per call;
+    w^{-1} b w once per central class and context, in the conjugate table of
+    b on the kept sweep (see the module docstring).
+    """
+    certified: dict[int, AdlvResult] = {}
+    words = {}
     for x in xids:
         cert = emptiness_certificate(ctx, x, cls)
         if cert is not None:
-            results[x] = AdlvResult("empty-certified", certificates=[cert],
-                                    cutoff=cutoff)
+            certified[x] = AdlvResult("empty-certified", certificates=[cert],
+                                      cutoff=cutoff)
         else:
-            pending_words[x] = ctx.reduced_word(x)
-    if not pending_words:
-        return results
+            words[x] = ctx.reduced_word(x)
+    if not words:
+        return Batch(cutoff, certified, words)
     b, p, corr2 = class_data(ctx, cls)
     # for finite Lambda_G every x sweeps all of Omega_G, and each w = u * tau
     # has eta_G(w) = eta_G(tau), so every w is allowed; else x allows the w
@@ -635,11 +674,10 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     if ctx.datum.lambda_g.order() is not None:
         omegas = frozenset(omega_window(ctx, cls, [b]))
     else:
-        allowed = {x: frozenset(omega_window(ctx, cls, [x, b]))
-                   for x in pending_words}
+        allowed = {x: frozenset(omega_window(ctx, cls, [x, b])) for x in words}
         omegas = frozenset().union(*allowed.values())
-    parents, need, order = prefix_tree(ctx, pending_words)
-    walls = fold_walls(ctx, parents, order)
+    tree = prefix_tree(ctx, words)
+    walls = fold_walls(ctx, tree[0], tree[2])
     kept = kept_sweep(ctx, cutoff, omegas)
     ws, taus, classes = kept.ws, kept.taus, kept.classes
     conjs = kept.conj_tables.get(b)
@@ -651,10 +689,7 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     maps = {}
     # wall key -> (profile of its first w, {lookup key: sweep position}), in
     # the order of first positions; the key is computed once per central
-    # class.  A member whose lookup key, w^{-1} b w (with tau when each x
-    # accepts w by tau), an earlier member of its group had passes every
-    # test alike and loses every tie to it, also under stop_at_first, so
-    # only the first position of each lookup key is kept
+    # class, and only the first position of each lookup key is kept
     groups: dict[tuple, tuple] = {}
     class_keys: dict[int, tuple] = {}
     every = omegas == kept.union
@@ -676,13 +711,46 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
                 at = maps[u] = ctx.conj_inv_map(u, b)
             btilde = conjs[c] = at(ctx.translation(ws[pos]))
         groups[key][1].setdefault(btilde if allowed is None else (btilde, taus[pos]), pos)
-    keys = list(groups)
-    profiles = [profile for profile, _ in groups.values()]
-    members = [list(firsts.values()) for _, firsts in groups.values()]
     # the test j >= profile[beta] at the wall {beta = j} passes iff
     # wall_key[beta] <= index[beta][j], the index of j in walls[beta]
     index = [{j: i for i, j in enumerate(levels)} for levels in walls]
-    columns = list(zip(*keys))
+    return Batch(cutoff, certified, words, corr2, allowed, tree, index,
+                 list(zip(*groups)), [profile for profile, _ in groups.values()],
+                 [list(firsts.values()) for _, firsts in groups.values()], kept, conjs)
+
+
+def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None,
+               stop_at_first: bool = False) -> dict:
+    """
+    The walk of a prepared batch for the pending x in xids, all of them when
+    None; returns {x: AdlvResult}.  A subset walks the prefix tree of its own
+    words against the groups of the whole batch.  That is exact: the walls of
+    its tree are among the batch's, so every test is a threshold on the same
+    wall keys; groups finer than its own walls need only refine its
+    partition; and between equal strata the lowest sweep position still
+    wins.  So a result does not depend on how the pending x are split.
+
+    One depth-first walk of the prefix tree refines a partition of the
+    groups: all groups start in one class at the root, and at a child
+    par * s_gi each class is split by the tests at the walls that gi crosses
+    out of the class's own frontier at par, then folded once.  A class keeps
+    bounds on wall_key[beta] over its groups, so a wall that cannot cut it
+    costs O(1).  Groups in one class have one fold history, so one frontier
+    serves them all, and only the frontiers on the current path are held.
+    The x whose words end at a node are looked up there, in the frontier of
+    every class, for every member of its groups; between equal strata the
+    lowest sweep position wins, over all classes, which is the first w in
+    sweep order.  The tau of each x goes onto the frontier of each class at
+    its node (see the module docstring).
+    """
+    words = batch.words if xids is None else {x: batch.words[x] for x in xids}
+    if not words:
+        return {}
+    parents, need, order = batch.tree if xids is None else prefix_tree(ctx, words)
+    index, columns, profiles, members = batch.index, batch.columns, batch.profiles, \
+        batch.members
+    ws, taus, classes = batch.sweep.ws, batch.sweep.taus, batch.sweep.classes
+    conjs, corr2, allowed = batch.conjs, batch.corr2, batch.allowed
     children: dict[int, list] = {}
     for u in order:
         par, gi = parents[u]
@@ -723,12 +791,12 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
                 for gids, lo, hi in subs]
 
     # best[x] = (dim, sweep position, w) of the stratum kept so far
-    best: dict[int, tuple | None] = dict.fromkeys(pending_words)
-    root = (list(range(len(keys))), [min(col) for col in columns],
+    best: dict[int, tuple | None] = dict.fromkeys(words)
+    root = (list(range(len(profiles))), [min(col) for col in columns],
             [max(col) for col in columns], {ctx.identity: 0})
     # (node, generator from its parent, the parent's classes): a node's
     # classes are built when it is visited, so only the path's are held
-    stack = [(ctx.identity, None, None)] if keys else []
+    stack = [(ctx.identity, None, None)] if profiles else []
     while stack:
         u, gi, above = stack.pop()
         parts = [root] if above is None else \
@@ -758,13 +826,10 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
                         best[x] = (val, pos, ws[pos])
         for v, g in children.get(u, ()):
             stack.append((v, g, parts))
-    for x, hit in best.items():
-        if hit is None:
-            results[x] = AdlvResult("empty-up-to-cutoff", cutoff=cutoff)
-        else:
-            results[x] = AdlvResult("nonempty", dim=hit[0], witness_w=hit[2],
-                                    cutoff=cutoff)
-    return results
+    cutoff = batch.cutoff
+    return {x: AdlvResult("empty-up-to-cutoff", cutoff=cutoff) if hit is None else
+            AdlvResult("nonempty", dim=hit[0], witness_w=hit[2], cutoff=cutoff)
+            for x, hit in best.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 from .affine import AffineWeyl
 
 PBITS = 96
-_LOW = (1 << PBITS) - 1
 
 POLY_ONE = 1
 
@@ -43,39 +42,6 @@ def poly_q(v: int) -> int:
 def poly_deg(v: int) -> int:
     """Degree in q (= degree in q-1); only for v != 0."""
     return (v.bit_length() - 1) // PBITS
-
-
-def poly_qm1_coeffs(v: int) -> list[int]:
-    """Coefficients in the (q-1)-power basis, low degree first."""
-    out = []
-    while v:
-        out.append(v & _LOW)
-        v >>= PBITS
-    return out or [0]
-
-
-def poly_q_coeffs(v: int) -> list[int]:
-    """Coefficients in the q-power basis, low degree first."""
-    cs = poly_qm1_coeffs(v)
-    n = len(cs)
-    out = [0] * n
-    # (q-1)^i = sum_j binom(i,j) (-1)^{i-j} q^j
-    binom = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        binom[i][0] = 1
-        for j in range(1, i + 1):
-            binom[i][j] = binom[i - 1][j - 1] + (binom[i - 1][j] if j <= i - 1 else 0)
-    for i, c in enumerate(cs):
-        for j in range(i + 1):
-            out[j] += c * binom[i][j] * (-1) ** (i - j)
-    return out
-
-
-def poly_eval(v: int, q: int) -> int:
-    total = 0
-    for i, c in enumerate(poly_qm1_coeffs(v)):
-        total += c * (q - 1) ** i
-    return total
 
 
 class Hecke:

@@ -320,6 +320,92 @@ def test_parallel_survey_writes_the_serial_cache(tmp_path):
     assert outs[1].count("\n") == 15
 
 
+A3_SURVEY = ["survey", "--type", "A", "--rank", "3", "--class-key", "trivial",
+             "--max-len", "2", "--jobs", "2"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_worker_exception_is_raised_in_the_parent(tmp_path, monkeypatch):
+    # the parent re-raises what a worker raised, and the worker, which ends
+    # in os._exit, never returns into the CLI to write the survey itself
+    def broken(*args, **kwargs):
+        raise ArithmeticError("broken walk")
+
+    monkeypatch.setattr(cli.eng, "walk_batch", broken)
+    out = tmp_path / "s.jsonl"
+    with pytest.raises(ArithmeticError, match="broken walk"):
+        run_cli(A3_SURVEY + ["--cache-dir", str(tmp_path / "c"), "--out", str(out)])
+    assert out.read_text() == ""
+    assert_no_child_left()
+
+
+def test_killed_worker_names_its_wait_status(tmp_path, monkeypatch):
+    import signal
+
+    def killed(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli.eng, "walk_batch", killed)
+    with pytest.raises(RuntimeError, match=r"wait status %d\b" % signal.SIGKILL):
+        run_cli(A3_SURVEY + ["--cache-dir", str(tmp_path / "c")])
+    assert_no_child_left()
+
+
+def test_parallel_survey_does_not_import_multiprocessing(tmp_path):
+    # the workers are bare forks: the survey forks (fork_map runs once) and
+    # leaves multiprocessing unimported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = A3_SURVEY + ["--cache-dir", str(tmp_path / "c"), "--out", os.devnull]
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "from adlv import cli",
+        "forks, fork_map = [], cli.fork_map",
+        "cli.fork_map = lambda *args: forks.append(1) or fork_map(*args)",
+        f"rc = cli.main({argv!r})",
+        "print(rc, len(forks), 'multiprocessing' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "False"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("spec,key", [(("C", 2, ""), "trivial"),
+                                      (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]")])
+def test_survey_worker_only_walks(monkeypatch, spec, key):
+    # a worker walks its chunk against the prepared batch it inherits: no
+    # certificate, sweep growth, profile, wall key or wall list is computed
+    # again, and the chunks give the results of one survey_batch
+    from adlv import affine_context, build_root_datum
+    ctx = affine_context(build_root_datum(*spec))
+    cls = cli.parse_class_key(ctx, key)
+    xs = cli.survey_elements(ctx, cls, 4)
+    want = {x: r.to_json(ctx) for x, r in cli.eng.survey_batch(ctx, cls, xs, 7).items()}
+    batch = cli.eng.prepare_batch(ctx, cls, xs, 7)
+    pending = list(batch.words)
+    assert batch.certified and len(pending) > 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a worker must only walk")
+
+    for name in ("kept_sweep", "orientation_profile", "wall_key", "fold_walls",
+                 "emptiness_certificate"):
+        monkeypatch.setattr(cli.eng, name, forbidden)
+    monkeypatch.setattr(cli, "_survey_state", (ctx, batch))
+    got = {}
+    for chunk in (pending[0::3], pending[1::3], pending[2::3]):
+        got.update(cli._survey_worker(chunk))
+    assert got == {x: want[x] for x in pending}
+    assert {x: r.to_json(ctx) for x, r in batch.certified.items()} == \
+        {x: want[x] for x in xs if x not in got}
+
+
 def test_every_option_is_read(tmp_path, monkeypatch):
     # an option that the command never reads is dead: it is accepted and
     # does nothing, so each parsed dest but cmd must be read by cmd_<name>

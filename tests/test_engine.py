@@ -873,6 +873,46 @@ def test_survey_batch_matches_reference_on_random_batches():
     assert any(status == "nonempty" for status, _dim, _w in want.values())
 
 
+def test_walks_of_a_split_batch_match_one_survey_batch():
+    # survey --jobs prepares once and walks each chunk against the groups of
+    # all pending x: random subsets of a survey, split into 1-3 random
+    # chunks, give every x the status, dim and witness of one survey_batch
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cases = {}
+    for spec, key, max_len, cutoff in [(("A", 2, "SL"), "trivial", 4, 5),
+                                       (("C", 2, "adjoint"), "trivial", 5, 6),
+                                       (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 5)]:
+        ctx = affine_context(build_root_datum(*spec))
+        cls = parse_class_key(ctx, key)
+        cases[spec] = (ctx, cls, survey_elements(ctx, cls, max_len), cutoff)
+    walked = []
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(sorted(cases)), st.data())
+    def check(case, data):
+        ctx, cls, xs, cutoff = cases[case]
+        subset = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=12,
+                                    unique=True))
+        want = eng.survey_batch(ctx, cls, subset, cutoff)
+        batch = eng.prepare_batch(ctx, cls, subset, cutoff)
+        pending = list(batch.words)
+        nchunks = data.draw(st.integers(1, 3))
+        where = data.draw(st.lists(st.integers(0, nchunks - 1), min_size=len(pending),
+                                   max_size=len(pending)))
+        got = dict(batch.certified)
+        for i in range(nchunks):
+            chunk = [x for x, k in zip(pending, where) if k == i]
+            got.update(eng.walk_batch(ctx, batch, chunk))
+        assert set(got) == set(subset)
+        for x in subset:
+            assert outcome(got[x]) == outcome(want[x]), ctx.format(x)
+        walked.extend(got[x].status for x in pending)
+
+    check()
+    assert "nonempty" in walked
+
+
 def test_p_alcove_parabolics_is_the_filtered_list(c2_ctx, gl3_ctx):
     for ctx in (c2_ctx, gl3_ctx):
         paras = semistandard_parabolics(ctx.datum)

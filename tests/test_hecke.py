@@ -1,7 +1,33 @@
 import random
 
-from adlv.hecke import Hecke, poly_deg, poly_eval, poly_q_coeffs, poly_qm1_coeffs
+from math import comb
+
+from adlv.hecke import PBITS, Hecke, poly_deg
 from conftest import structure_deg
+
+
+def poly_qm1_coeffs(v):
+    """Coefficients of a packed polynomial in the (q-1)-power basis, low degree first."""
+    out = []
+    while v:
+        out.append(v & ((1 << PBITS) - 1))
+        v >>= PBITS
+    return out or [0]
+
+
+def poly_q_coeffs(v):
+    """Coefficients in the q-power basis, low degree first."""
+    cs = poly_qm1_coeffs(v)
+    out = [0] * len(cs)
+    # (q-1)^i = sum_j binom(i,j) (-1)^{i-j} q^j
+    for i, c in enumerate(cs):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * (-1) ** (i - j)
+    return out
+
+
+def poly_eval(v, q):
+    return sum(c * (q - 1) ** i for i, c in enumerate(poly_qm1_coeffs(v)))
 
 
 def rand_elements(ctx, rng, count, maxword):
