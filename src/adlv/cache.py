@@ -71,5 +71,11 @@ class CacheStore:
             self._fh.close()
             self._fh = None
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def __len__(self):
         return len(self._data)

@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import engine as eng
@@ -212,12 +213,12 @@ def cmd_query(args, out=sys.stdout):
     except ValueError as exc:
         raise SystemExit(f"adlv: cannot parse element {args.x!r}: {exc}")
     cutoff = args.cutoff if args.cutoff is not None else eng.default_cutoff(ctx, xid, cls)
-    store = CacheStore(args.cache_dir)
-    key = _solve_key(ctx, cls, xid, cutoff)
-    computed = store.get(key)
-    if computed is None:
-        computed = eng.solve(ctx, xid, cls, cutoff).to_json(ctx)
-        store.put(key, computed)
+    with CacheStore(args.cache_dir) as store:
+        key = _solve_key(ctx, cls, xid, cutoff)
+        computed = store.get(key)
+        if computed is None:
+            computed = eng.solve(ctx, xid, cls, cutoff).to_json(ctx)
+            store.put(key, computed)
     rec = record_for(ctx, cls, xid, _in_result_order(computed))
     rec["schema_version"] = SCHEMA_VERSION
     rec["bruhat_geq_some_conjugate"] = _bruhat_flag(ctx, cls, xid)
@@ -226,7 +227,6 @@ def cmd_query(args, out=sys.stdout):
         rec["p_alcove_reports"] = _p_alcove_reports(ctx, xid)
     json.dump(rec, out, indent=1)
     out.write("\n")
-    store.close()
     return 0
 
 
@@ -408,27 +408,26 @@ def cmd_survey(args, out=sys.stdout):
     datum = _datum(args)
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
-    store = CacheStore(args.cache_dir)
     # open the sink first, so that a path that cannot be written fails
-    # before the sweep
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    xs, cutoff, results = survey_results(ctx, cls, args.max_len, args.cutoff,
-                                         store, jobs)
-    recs = [record_for(ctx, cls, x, results[x]) for x in xs]
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "datum": datum.json_descriptor(), "class": cls.key(),
-        "max_len": args.max_len, "cutoff": cutoff, "count": len(recs),
-        "nonempty": sum(1 for r in recs if r["computed"]["status"] == "nonempty"),
-        "empty_certified": sum(1 for r in recs
-                               if r["computed"]["status"] == "empty-certified"),
-        "undecided": sum(1 for r in recs
-                         if r["computed"]["status"] == "empty-up-to-cutoff"),
-        "disagree_shrunken": sum(1 for r in recs if r["agree_shrunken"] is False),
-        "disagree_levi": sum(1 for r in recs if r["agree_levi"] is False),
-    }
-    try:
+    # before the sweep; the sink and the store close on every exit
+    with CacheStore(args.cache_dir) as store, \
+            (open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out)) as sink:
+        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+        xs, cutoff, results = survey_results(ctx, cls, args.max_len, args.cutoff,
+                                             store, jobs)
+        recs = [record_for(ctx, cls, x, results[x]) for x in xs]
+        summary = {
+            "schema_version": SCHEMA_VERSION,
+            "datum": datum.json_descriptor(), "class": cls.key(),
+            "max_len": args.max_len, "cutoff": cutoff, "count": len(recs),
+            "nonempty": sum(1 for r in recs if r["computed"]["status"] == "nonempty"),
+            "empty_certified": sum(1 for r in recs
+                                   if r["computed"]["status"] == "empty-certified"),
+            "undecided": sum(1 for r in recs
+                             if r["computed"]["status"] == "empty-up-to-cutoff"),
+            "disagree_shrunken": sum(1 for r in recs if r["agree_shrunken"] is False),
+            "disagree_levi": sum(1 for r in recs if r["agree_levi"] is False),
+        }
         if args.format == "json":
             for r in recs:
                 sink.write(json.dumps(r, sort_keys=True) + "\n")
@@ -436,10 +435,6 @@ def cmd_survey(args, out=sys.stdout):
         else:
             from .figure import render_tsv
             sink.write(render_tsv(ctx, [(x, results[x]) for x in xs]))
-    finally:
-        if args.out:
-            sink.close()
-    store.close()
     if args.check and (summary["disagree_shrunken"] or summary["disagree_levi"]):
         return 2
     return 0
@@ -463,8 +458,8 @@ def cmd_figure(args, out=sys.stdout):
         if new_out and os.path.exists(args.out):
             os.remove(args.out)
         raise
-    xs, _, results = survey_results(ctx, cls, args.max_len, args.cutoff, store, 1)
-    store.close()
+    with store:
+        xs, _, results = survey_results(ctx, cls, args.max_len, args.cutoff, store, 1)
     rows = [(x, results[x]) for x in xs]
     from .figure import render_svg, render_tsv
     with open(args.out, "w", encoding="utf-8") as fh:

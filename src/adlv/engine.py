@@ -47,7 +47,13 @@ only at walls a fold never reaches fold alike, so survey_batch does not
 fold them one by one.  It runs in two steps.  prepare_batch decides the
 certificates and groups the w of the kept sweep by pattern over the walls
 of all the words; walk_batch then walks the prefix tree of the words depth
-first, refining a partition of the groups.  All groups start in one class
+first, refining a partition of the groups.  Only the w whose w^{-1} b w is
+an end of the batch are grouped.  A frontier at the node of a word holds
+products of subwords of it, the Bruhat interval below the word, and x =
+word * tau looks w^{-1} b w up after moving tau onto it; so the ends,
+{y * tau : y below the word} over the x (fold_walls), hold every element
+that any table of any x of the batch can have, and a w whose w^{-1} b w
+lies outside them has no stratum for any x.  All groups start in one class
 at the root; at each step a class is split by the tests at the walls the
 step crosses out of the class's own frontier, and each part is folded once.
 Each test is a threshold on the wall key (wall_key), so a class that keeps
@@ -80,7 +86,11 @@ with the finite part u^{-1} v u.  A central b (AffineWeyl.is_central: the
 trivial class, and GL_n classes with central Newton point) has w^{-1} b w =
 b for every w, so its table is created filled with b.  Growing the sweep
 keeps every class id and every filled entry, and extends the tables with
-unfilled entries, or with b for a central b.  Two more per-w steps go by
+unfilled entries, or with b for a central b.  prepare_batch reads or fills
+the entry of w before anything else of w, and drops w when the entry is no
+end of the batch (see Wall patterns): no profile, no wall key, no group
+entry.  For a central b every entry is b, so the one test b in ends keeps
+or drops the whole sweep of the batch.  Two more per-w steps go by
 tau alone: x = word * tau meets w^{-1} b w where the word's frontier holds
 w^{-1} b w tau^{-1}, so walk_batch moves tau onto the frontier once per
 class at the node of x, {y * tau}, and looks w^{-1} b w up in it; and for
@@ -550,15 +560,25 @@ def prefix_tree(ctx: AffineWeyl, words: dict):
     return parents, need, order
 
 
-def fold_walls(ctx: AffineWeyl, parents: dict, order) -> list:
+def fold_walls(ctx: AffineWeyl, tree: tuple) -> tuple:
     """
+    (walls, ends) of the prefix tree (parents, need, order) of prefix_tree.
     walls[beta]: the sorted levels j of every wall {beta = j} that a fold
-    over the prefix tree can meet.  A frontier only holds elements of its
-    node's reach set, reach[e] = {e} and reach[u] = reach[par] together with
+    over the tree can meet.  A frontier only holds elements of its node's
+    reach set, reach[e] = {e} and reach[u] = reach[par] together with
     reach[par] * s_gi, so the walls are those of the steps out of reach[par].
+    By the subword property reach[u] is the Bruhat interval below u.
+
+    ends: the elements a lookup can find, the union over the x = word * tau
+    of the tree of {y * tau : y in reach[node of word]}, as walk_batch moves
+    tau onto the frontier of x at its node.  It is gathered per tau while
+    the reach sets are built, so no second pass goes over the tree.
     """
+    parents, need, order = tree
     walls = [set() for _ in range(ctx.datum.nposroots)]
     reach = {ctx.identity: {ctx.identity}}
+    # tau -> the union of the reach sets of the nodes of the x = word * tau
+    tails = {tau: {ctx.identity} for _x, tau in need.get(ctx.identity, ())}
     for u in order:
         par, gi = parents[u]
         grown = set(reach[par])
@@ -567,7 +587,16 @@ def fold_walls(ctx: AffineWeyl, parents: dict, order) -> list:
             walls[beta].add(j)
             grown.add(cs)
         reach[u] = grown
-    return [sorted(levels) for levels in walls]
+        for _x, tau in need.get(u, ()):
+            got = tails.get(tau)
+            if got is None:
+                tails[tau] = set(grown)
+            else:
+                got |= grown
+    ends = set()
+    for tau, ys in tails.items():
+        ends.update(ys if tau == ctx.identity else (ctx.mul(y, tau) for y in ys))
+    return [sorted(levels) for levels in walls], ends
 
 
 def wall_key(walls: list, profile) -> tuple:
@@ -588,10 +617,12 @@ class Batch(NamedTuple):
     corr2 of class_data, the Omega window of each x (allowed, None for
     finite Lambda_G), the prefix tree of all pending words, index[beta]
     mapping each level j of walls[beta] to its place, and the wall groups of
-    the kept sweep: columns[beta] the wall_key[beta] of each group, the
-    profile of its first w, and its members, the first sweep position of
-    each of its lookup keys.  sweep and conjs are the context's kept sweep
-    and the conjugate table of b; the positions hold until the sweep grows.
+    the w of the kept sweep whose w^{-1} b w is an end of the batch
+    (fold_walls): columns[beta] the wall_key[beta] of each group, the
+    profile of its first such w, and its members, the first sweep position
+    of each of its lookup keys.  sweep and conjs are the context's kept
+    sweep and the conjugate table of b; the positions hold until the sweep
+    grows.
     With no pending x the fields after words are None.
     """
     cutoff: int
@@ -654,6 +685,21 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     the wall key of w are computed once per central class of w per call;
     w^{-1} b w once per central class and context, in the conjugate table of
     b on the kept sweep (see the module docstring).
+
+    w^{-1} b w is read or filled first, and w is skipped, with no profile,
+    wall key or group entry, when it is no end of the batch (fold_walls);
+    for a central b one test b in ends decides every w at once.  That is
+    exact:
+    - a skipped w can never give a hit: its w^{-1} b w is in no frontier of
+      any x once tau is on it;
+    - a group's profile may be that of any of its w, as all w with one key
+      fold alike, so the first w that is not skipped gives it;
+    - each lookup key that is kept keeps its first sweep position, since the
+      skipped positions hold only other keys, so ties, stop_at_first and
+      witnesses are unchanged;
+    - a survey --jobs chunk's ends lie in the batch's: its nodes are nodes
+      of the batch's tree and reach[u] depends on u alone, so the groups of
+      the batch hold every w that a chunk can hit.
     """
     certified: dict[int, AdlvResult] = {}
     words = {}
@@ -677,32 +723,28 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
         allowed = {x: frozenset(omega_window(ctx, cls, [x, b])) for x in words}
         omegas = frozenset().union(*allowed.values())
     tree = prefix_tree(ctx, words)
-    walls = fold_walls(ctx, tree[0], tree[2])
+    walls, ends = fold_walls(ctx, tree)
     kept = kept_sweep(ctx, cutoff, omegas)
     ws, taus, classes = kept.ws, kept.taus, kept.classes
+    # w^{-1} b w = b for every w when b is central: one test b in ends
+    prune = not ctx.is_central(b)
     conjs = kept.conj_tables.get(b)
     if conjs is None:
-        # w^{-1} b w = b for every w when b is central
-        conjs = kept.conj_tables[b] = \
-            array("q", [b if ctx.is_central(b) else -1]) * kept.nclasses
+        conjs = kept.conj_tables[b] = array("q", [-1 if prune else b]) * kept.nclasses
     # u -> the map lam -> w^{-1} b w on the w = (lam, u), built on first use
     maps = {}
-    # wall key -> (profile of its first w, {lookup key: sweep position}), in
-    # the order of first positions; the key is computed once per central
-    # class, and only the first position of each lookup key is kept
+    # wall key -> (profile of its first kept w, {lookup key: sweep
+    # position}), in the order of first positions; the key is computed once
+    # per central class, and only the first position of each lookup key is
+    # kept
     groups: dict[tuple, tuple] = {}
     class_keys: dict[int, tuple] = {}
     every = omegas == kept.union
-    for pos in range(bisect_right(kept.lengths, cutoff)):
+    stop = bisect_right(kept.lengths, cutoff) if prune or b in ends else 0
+    for pos in range(stop):
         if not every and taus[pos] not in omegas:
             continue
         c = classes[pos]
-        key = class_keys.get(c)
-        if key is None:
-            profile = orientation_profile(ctx, p, ws[pos])
-            key = class_keys[c] = wall_key(walls, profile)
-            if key not in groups:
-                groups[key] = (profile, {})
         btilde = conjs[c]
         if btilde < 0:
             u = ctx.finite(ws[pos])
@@ -710,6 +752,14 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
             if at is None:
                 at = maps[u] = ctx.conj_inv_map(u, b)
             btilde = conjs[c] = at(ctx.translation(ws[pos]))
+        if prune and btilde not in ends:
+            continue
+        key = class_keys.get(c)
+        if key is None:
+            profile = orientation_profile(ctx, p, ws[pos])
+            key = class_keys[c] = wall_key(walls, profile)
+            if key not in groups:
+                groups[key] = (profile, {})
         groups[key][1].setdefault(btilde if allowed is None else (btilde, taus[pos]), pos)
     # the test j >= profile[beta] at the wall {beta = j} passes iff
     # wall_key[beta] <= index[beta][j], the index of j in walls[beta]

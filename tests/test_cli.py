@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import importlib
 import importlib.util
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -331,14 +333,19 @@ def assert_no_child_left():
 
 def test_forked_worker_exception_is_raised_in_the_parent(tmp_path, monkeypatch):
     # the parent re-raises what a worker raised, and the worker, which ends
-    # in os._exit, never returns into the CLI to write the survey itself
+    # in os._exit, never returns into the CLI to write the survey itself;
+    # the --out file is closed on the way out, not left to the collector
     def broken(*args, **kwargs):
         raise ArithmeticError("broken walk")
 
     monkeypatch.setattr(cli.eng, "walk_batch", broken)
     out = tmp_path / "s.jsonl"
-    with pytest.raises(ArithmeticError, match="broken walk"):
-        run_cli(A3_SURVEY + ["--cache-dir", str(tmp_path / "c"), "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ArithmeticError, match="broken walk"):
+            run_cli(A3_SURVEY + ["--cache-dir", str(tmp_path / "c"), "--out", str(out)])
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
     assert out.read_text() == ""
     assert_no_child_left()
 
@@ -374,6 +381,24 @@ def test_parallel_survey_does_not_import_multiprocessing(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1", "False"]
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "GL", "--rank", "3", "--class-key", "nu=[1/2,1/2,0];kappa=[0,0,1]",
+     "--x", "t[2,1,-2]*s1*s2"],
+    [*C2, "--class-key", "nu=[1,0];kappa=[0,0]", "--x", "t[-1,0]*s1"],
+])
+def test_query_under_python_O_matches(monkeypatch, argv):
+    # python -O strips assert statements; the checks of adlv raise instead,
+    # so a non-basic query under -O prints the bytes of a normal run
+    monkeypatch.delenv("ADLV_CACHE_DIR", raising=False)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-E", "-s", "-m", "adlv.cli", "query",
+                           *argv], cwd=src, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, out = run_cli(["query", *argv])
+    assert code == 0 and json.loads(out)["computed"]["status"] == "nonempty"
+    assert proc.stdout == out.encode()
 
 
 @pytest.mark.parametrize("spec,key", [(("C", 2, ""), "trivial"),
