@@ -54,8 +54,8 @@ class AffineWeyl:
         # the step table, filled by step_row: element id -> one row entry
         # (c * s_i, beta, j, upper) per affine generator s_i
         self.steps: dict[int, tuple] = {}
-        # memo of engine.levi_eta_targets: (Levi root set, class key, kappa
-        # filter) -> targets; the targets depend on P only through M
+        # memo of engine.levi_eta_targets: (Levi root set, Newton point) ->
+        # targets; the targets depend on P only through M
         self.levi_targets: dict[tuple, set] = {}
         # memo of engine.newton_orbit: Newton point -> its W-orbit
         self.newton_orbits: dict[tuple, tuple] = {}

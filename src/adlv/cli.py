@@ -24,7 +24,11 @@ JSON output schema (version 1).  Survey records and query output carry:
 x, length, shrunken, eta1, eta2, class_key, computed {status, dim,
 witness_w, cutoff, certificates}, predicted_shrunken {status, dim} | null,
 predicted_levi {status} | null, agree_shrunken, agree_levi (null = not
-applicable or undecided).  Queries add schema_version, the order flag
+applicable or undecided).  For a basic class the emptiness certificate is
+the Levi obstruction that predicted_levi reads, so agree_levi is true for
+every decided x by construction; the conjectural half of that rule (no
+obstruction => non-empty) shows only as undecided x, and --check can exit 2
+only through agree_shrunken.  Queries add schema_version, the order flag
 bruhat_geq_some_conjugate, p_alcove_for_proper_parabolic, and with
 --explain a p_alcove_reports list with per-parabolic violation rows.  The
 survey summary line carries schema_version, counts and disagreement

@@ -244,25 +244,19 @@ def newton_orbit(ctx: AffineWeyl, nu) -> tuple:
     return got
 
 
-def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass,
-                     kappa_filter: bool):
+def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass):
     """
-    The admissible eta_M-values for classes over M whose Newton point is
-    W-conjugate to that of cls; with kappa_filter, only classes in the same
-    component of the full group are kept (the basic-case refinement).  They
-    depend on P only through M, so parabolics with one Levi share an entry.
+    The admissible eta_M-values: eta_M of the classes over M whose Newton
+    point is W-conjugate to that of cls.  They depend on P only through M
+    and on cls only through its Newton point, so the memo is keyed by both.
     """
-    key = (p.levi_key(), cls.key(), kappa_filter)
+    key = (p.levi_key(), cls.newton)
     got = ctx.levi_targets.get(key)
     if got is not None:
         return got
     datum = ctx.datum
-    targets = set()
-    for nu in newton_orbit(ctx, cls.newton):
-        for lam in levi_classes_with_newton(datum, p.r_m, nu):
-            if kappa_filter and datum.lambda_g.normal_form(lam) != cls.kappa:
-                continue
-            targets.add(p.lattice.normal_form(lam))
+    targets = {p.lattice.normal_form(lam) for nu in newton_orbit(ctx, cls.newton)
+               for lam in levi_classes_with_newton(datum, p.r_m, nu)}
     ctx.levi_targets[key] = targets
     return targets
 
@@ -274,52 +268,46 @@ def p_alcove_parabolics(ctx: AffineWeyl, xid: int):
             yield p
 
 
-def necessary_condition(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
-                        kappa_filter: bool = False):
+def necessary_condition(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     """
     The non-emptiness obstruction (a theorem): returns None when the test
     passes, else a Certificate.  Checks the component map, then, for every
     semistandard P = MN with x.a a P-alcove, membership of eta_M(x) in the
-    eta_M-values allowed by the Newton point of the class.  With
-    kappa_filter (for basic classes) the values are those of the class over
-    M, the component condition relative to each Levi.
+    eta_M-values allowed by the Newton point of the class.
     """
     if ctx.omega_class(xid) != cls.kappa:
         return Certificate("component", None, "kappa(x) != kappa(b)")
     for p in p_alcove_parabolics(ctx, xid):
-        targets = levi_eta_targets(ctx, p, cls, kappa_filter=kappa_filter)
-        if p.eta_m(ctx.translation(xid)) not in targets:
-            detail = ("eta_M(x) not an eta_M-value over the Newton orbit" if not kappa_filter
-                      else "eta_M mismatch with the class over M" if targets
-                      else "class does not meet the Levi")
-            return Certificate("levi-obstruction", p.key(), detail)
+        if p.eta_m(ctx.translation(xid)) not in levi_eta_targets(ctx, p, cls):
+            return Certificate("levi-obstruction", p.key(),
+                               "eta_M(x) not an eta_M-value over the Newton orbit")
     return None
 
 
 def predict_levi(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     """
-    The P-alcove prediction for basic classes: empty iff some semistandard
-    P = MN with x.a a P-alcove violates the component condition relative to M.
-    The "empty" direction is a theorem; "nonempty" is the conjectural one.
-    Returns ("empty", certificate) or ("nonempty-predicted", None).
+    The P-alcove prediction for basic classes: empty iff necessary_condition
+    fails.  The "empty" direction is a theorem; "nonempty" is the
+    conjectural one.  Returns ("empty", certificate) or
+    ("nonempty-predicted", None).
     """
     if not is_basic(ctx.datum, cls):
         raise ValueError("the P-alcove prediction applies to basic classes")
-    cert = necessary_condition(ctx, xid, cls, kappa_filter=True)
+    cert = necessary_condition(ctx, xid, cls)
     return ("nonempty-predicted", None) if cert is None else ("empty", cert)
 
 
 def emptiness_certificate(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
     """
-    The strongest theorem-level emptiness certificate available: the general
-    Newton-orbit obstruction, sharpened for basic classes to the component
-    condition relative to each Levi (both directions are proved facts, so a
-    certificate is never contradicted by a larger sweep).
+    The theorem-level emptiness certificate of the sweep: necessary_condition.
+    For a basic class the paper reads the Levi condition over the class over
+    M, keeping only the lam with kappa_G(lam) = kappa(b).  That filter never
+    drops the value tested.  The component map comes first, so kappa_G(x) =
+    kappa(b); and Lambda_M -> Lambda_G is well defined, as the coroots of M
+    are coroots of G.  So every lam with eta_M(lam) = eta_M(x) has
+    kappa_G(lam) = kappa_G(x) = kappa(b).
     """
-    cert = necessary_condition(ctx, xid, cls)
-    if cert is None and is_basic(ctx.datum, cls):
-        return necessary_condition(ctx, xid, cls, kappa_filter=True)
-    return cert
+    return necessary_condition(ctx, xid, cls)
 
 
 def predict_shrunken(ctx: AffineWeyl, xid: int, cls: SigmaConjClass):
@@ -373,6 +361,7 @@ def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
     Narrowed by 1 or widened by 6 on GL3 and GL4 surveys it moved no status
     and no dim but did move witnesses, and a test widens it by 6 on GL2 and
     GL3 surveys.  So a change to the window changes witness_w in the output.
+    cls is not read; bench/make_reference.py passes it.
     """
     datum = ctx.datum
     p_full = standard_parabolic(datum, frozenset(datum.simple_idx))
@@ -525,14 +514,14 @@ def stratum_value(got: int, corr2: int) -> int:
 
 
 def solve(ctx: AffineWeyl, xid: int, cls: SigmaConjClass,
-          cutoff: int | None = None, stop_at_first: bool = False) -> AdlvResult:
+          cutoff: int | None = None) -> AdlvResult:
     """
     Decide X_x(b): survey_batch on the one element x, with default_cutoff
     when no cutoff is given.
     """
     if cutoff is None:
         cutoff = default_cutoff(ctx, xid, cls)
-    return survey_batch(ctx, cls, [xid], cutoff, stop_at_first)[xid]
+    return survey_batch(ctx, cls, [xid], cutoff)[xid]
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +628,7 @@ class Batch(NamedTuple):
     conjs: array | None = None
 
 
-def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
-                 stop_at_first: bool = False):
+def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
     """
     Decide X_x(b) for many x at once; returns {x: AdlvResult}.  Certificates
     come first, per x (sound emptiness).  The x they leave are decided by one
@@ -654,14 +642,9 @@ def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int,
     groups of the sweep, then walk_batch over all pending x, on the prefix
     tree the preparation built.  A caller that splits the walk (survey
     --jobs) prepares once and walks each part with walk_batch.
-
-    With stop_at_first each x takes the first w of the sweep with a
-    non-empty stratum: the statuses are exact, the dimensions only lower
-    bounds.  The walk visits every class either way, so stop_at_first does
-    not end it early; the results are those of the first w all the same.
     """
     batch = prepare_batch(ctx, cls, xids, cutoff)
-    return {**batch.certified, **walk_batch(ctx, batch, stop_at_first=stop_at_first)}
+    return {**batch.certified, **walk_batch(ctx, batch)}
 
 
 def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Batch:
@@ -681,10 +664,10 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     groups the w by key.  A member is kept only when no earlier member of its
     group had its w^{-1} b w, and its tau when each x accepts w by tau
     (infinite Lambda_G): two members with one key pass every test alike and
-    the later one loses every tie, also under stop_at_first.  The profile and
-    the wall key of w are computed once per central class of w per call;
-    w^{-1} b w once per central class and context, in the conjugate table of
-    b on the kept sweep (see the module docstring).
+    the later one loses every tie.  The profile and the wall key of w are
+    computed once per central class of w per call; w^{-1} b w once per
+    central class and context, in the conjugate table of b on the kept sweep
+    (see the module docstring).
 
     w^{-1} b w is read or filled first, and w is skipped, with no profile,
     wall key or group entry, when it is no end of the batch (fold_walls);
@@ -695,8 +678,8 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     - a group's profile may be that of any of its w, as all w with one key
       fold alike, so the first w that is not skipped gives it;
     - each lookup key that is kept keeps its first sweep position, since the
-      skipped positions hold only other keys, so ties, stop_at_first and
-      witnesses are unchanged;
+      skipped positions hold only other keys, so ties and witnesses are
+      unchanged;
     - a survey --jobs chunk's ends lie in the batch's: its nodes are nodes
       of the batch's tree and reach[u] depends on u alone, so the groups of
       the batch hold every w that a chunk can hit.
@@ -769,8 +752,7 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
                  [list(firsts.values()) for _, firsts in groups.values()], kept, conjs)
 
 
-def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None,
-               stop_at_first: bool = False) -> dict:
+def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
     """
     The walk of a prepared batch for the pending x in xids, all of them when
     None; returns {x: AdlvResult}.  A subset walks the prefix tree of its own
@@ -866,14 +848,10 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None,
                             continue
                         if ok is not None and taus[pos] not in ok:
                             continue
-                        cur = best[x]
-                        if stop_at_first and cur is not None and cur[1] < pos:
-                            continue
                         val = stratum_value(got, corr2)
-                        if cur is not None and not stop_at_first and \
-                                (val, -pos) <= (cur[0], -cur[1]):
-                            continue
-                        best[x] = (val, pos, ws[pos])
+                        cur = best[x]
+                        if cur is None or (val, -pos) > (cur[0], -cur[1]):
+                            best[x] = (val, pos, ws[pos])
         for v, g in children.get(u, ()):
             stack.append((v, g, parts))
     cutoff = batch.cutoff

@@ -88,7 +88,7 @@ def test_criterion_03_translation_criterion(spec):
         x = ctx.from_translation(lam)
         own = sg.classify(ctx, x)
         for cls in classes:
-            res = eng.solve(ctx, x, cls, cutoff=12, stop_at_first=True)
+            res = eng.solve(ctx, x, cls, cutoff=12)
             if cls.key() == own.key():
                 assert res.status == "nonempty", (lam, cls.key())
             else:

@@ -213,7 +213,7 @@ def test_necessary_condition_eta_targets_93(a2, a2_ctx):
                                    a2.lambda_g.zero())
     s1 = a2.reflection_index(a2.simple_idx[0])
     P = SemistdParabolic(a2, s1, frozenset({a2.simple_idx[1]}))
-    targets = eng.levi_eta_targets(a2_ctx, P, cls, kappa_filter=False)
+    targets = eng.levi_eta_targets(a2_ctx, P, cls)
     assert targets == {P.eta_m((0, 1, -1))}
 
 
@@ -315,7 +315,7 @@ def dim_stratum(ctx, xid, cls, wid, table=None):
     return None if got is None else eng.stratum_value(got, corr2)
 
 
-def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
+def reference_solve(ctx, x, cls, cutoff):
     """
     The per-w solver the sweep kernel replaced, kept as an independent route:
     its own sweep (not the one the context keeps), one orbit_dim_table and
@@ -336,8 +336,6 @@ def reference_solve(ctx, x, cls, cutoff, stop_at_first=False):
         val = dim_stratum(ctx, x, cls, w, table)
         if best is None or val > best:
             best, best_w = val, w
-            if stop_at_first:
-                break
     if best is None:
         return "empty-up-to-cutoff", None, None
     return "nonempty", best, best_w
@@ -709,20 +707,18 @@ def test_noncentral_class_table_starts_unfilled():
 def test_grouped_lookups_match_reference(spec, key, b_text, central):
     # survey_batch looks up a member of a wall group only when no earlier
     # member had its key, w^{-1} b w (with tau for GL's per-x windows); the
-    # status, dim and witness of every x, with and without stop_at_first,
-    # are still those of the per-w reference
+    # status, dim and witness of every x are still those of the per-w
+    # reference
     ctx = affine_context(RootDatum(*spec))
     cls = parse_class_key(ctx, key)
     b = eng.class_data(ctx, cls)[0]
     assert b == ctx.parse(b_text) and ctx.is_central(b) == central
     xs = survey_elements(ctx, cls, 4)
     cutoff = 6
-    for stop_at_first in (False, True):
-        batch = eng.survey_batch(ctx, cls, xs, cutoff, stop_at_first)
-        assert any(r.nonempty for r in batch.values())
-        for x in xs:
-            assert outcome(batch[x]) == \
-                reference_solve(ctx, x, cls, cutoff, stop_at_first), ctx.format(x)
+    batch = eng.survey_batch(ctx, cls, xs, cutoff)
+    assert any(r.nonempty for r in batch.values())
+    for x in xs:
+        assert outcome(batch[x]) == reference_solve(ctx, x, cls, cutoff), ctx.format(x)
 
 
 @pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"), ("GL", 3, "")])
@@ -736,27 +732,6 @@ def test_kept_sweep_grows_the_ball(spec):
         assert kept.ball == affine_ball(ctx, cutoff)
     assert kept.ws == _reference_sweep(ctx, 7, union)
     _check_kept_sweep(ctx)
-
-
-def test_survey_stop_at_first_statuses(a2_ctx, c2_ctx, gl3_ctx):
-    gl3_cls = parse_class_key(gl3_ctx, "nu=[1,0,0];kappa=[0,0,1]")
-    cases = [(a2_ctx, sg.classify(a2_ctx, a2_ctx.identity), ball_with_omega(a2_ctx, 5), 7),
-             (c2_ctx, sg.classify(c2_ctx, c2_ctx.identity), ball_with_omega(c2_ctx, 5), 7),
-             (gl3_ctx, gl3_cls, survey_elements(gl3_ctx, gl3_cls, 4), 8)]
-    for ctx, cls, xs, cutoff in cases:
-        full = eng.survey_batch(ctx, cls, xs, cutoff)
-        first = eng.survey_batch(ctx, cls, xs, cutoff, stop_at_first=True)
-        assert set(first) == set(full)
-        assert sum(r.nonempty for r in full.values()) > 1
-        for x in xs:
-            assert first[x].status == full[x].status
-            if full[x].nonempty:
-                assert first[x].dim <= full[x].dim
-            # each x takes the first w of the sweep that meets its stratum
-            assert outcome(first[x]) == reference_solve(ctx, x, cls, cutoff,
-                                                        stop_at_first=True)
-            assert outcome(eng.solve(ctx, x, cls, cutoff, stop_at_first=True)) == \
-                outcome(first[x])
 
 
 @pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
@@ -911,8 +886,8 @@ def test_profiles_only_for_the_w_that_reach_an_end(monkeypatch, spec, class_key,
 
 def test_survey_batch_matches_reference_on_random_batches():
     # the refinement partitions the prefix tree of each batch differently;
-    # random subsets of a survey, in random order, with and without
-    # stop_at_first, still give every x the per-w reference's answer
+    # random subsets of a survey, in random order, still give every x the
+    # per-w reference's answer
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     cases = {}
@@ -929,18 +904,17 @@ def test_survey_batch_matches_reference_on_random_batches():
     want = {}
 
     @hyp.settings(max_examples=40, deadline=None, derandomize=True)
-    @hyp.given(st.sampled_from(sorted(cases)), st.data(), st.booleans())
-    def check(case, data, stop_at_first):
+    @hyp.given(st.sampled_from(sorted(cases)), st.data())
+    def check(case, data):
         ctx, cls, xs, cutoff = cases[case]
         batch = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=10,
                                    unique=True))
-        got = eng.survey_batch(ctx, cls, batch, cutoff, stop_at_first)
+        got = eng.survey_batch(ctx, cls, batch, cutoff)
         assert set(got) == set(batch)
         for x in batch:
-            if (case, x, stop_at_first) not in want:
-                want[case, x, stop_at_first] = reference_solve(ctx, x, cls, cutoff,
-                                                               stop_at_first)
-            assert outcome(got[x]) == want[case, x, stop_at_first], ctx.format(x)
+            if (case, x) not in want:
+                want[case, x] = reference_solve(ctx, x, cls, cutoff)
+            assert outcome(got[x]) == want[case, x], ctx.format(x)
 
     check()
     assert any(status == "nonempty" for status, _dim, _w in want.values())
@@ -1228,7 +1202,9 @@ def test_fold_step_matches_reference(spec):
 
 
 def _targets_from_scratch(datum, p, cls, kappa_filter):
-    # the Newton orbit and the Levi classes recomputed without any memo
+    # the Newton orbit and the Levi classes recomputed without any memo;
+    # with kappa_filter, the paper's form for basic b: only the classes over
+    # M in the component of the class
     W = datum.weyl
     orbit = {datum.coweight_nf_frac(W.apply(w, cls.newton)) for w in W.elements()}
     out = set()
@@ -1243,24 +1219,75 @@ def _targets_from_scratch(datum, p, cls, kappa_filter):
                                       (("C", 2, "adjoint"), (1, 0)),
                                       (("G", 2, "adjoint"), (1, 0))])
 def test_levi_targets_shared_by_levi(spec, lam):
-    # the target memo is keyed by M: parabolics with one Levi share an entry,
+    # the target memo is keyed by M and the Newton point: parabolics with
+    # one Levi, and the basic classes of all components, share an entry,
     # and it equals a fresh computation for each of them
     from adlv.affine import AffineWeyl
     datum = build_root_datum(*spec)
     lam = lam + (0,) * (datum.d - len(lam))
     ctx = AffineWeyl(datum)
-    classes = [sg.classify(ctx, ctx.identity),
-               sg.classify(ctx, ctx.from_translation(datum.dominant(lam)))]
+    basics = [sg.classify(ctx, tau) for tau in ctx.omega_g_elements().values()]
+    classes = basics + [sg.classify(ctx, ctx.from_translation(datum.dominant(lam)))]
     shared = 0
     for ps in semistandard_levis(datum).values():
         for cls in classes:
-            for kf in (False, True):
-                first = eng.levi_eta_targets(ctx, ps[0], cls, kf)
-                for p in ps:
-                    assert eng.levi_eta_targets(ctx, p, cls, kf) is first
-                    assert first == _targets_from_scratch(datum, p, cls, kf)
-                shared += len(ps) > 1
+            first = eng.levi_eta_targets(ctx, ps[0], cls)
+            for p in ps:
+                assert eng.levi_eta_targets(ctx, p, cls) is first
+                assert first == _targets_from_scratch(datum, p, cls, False)
+            shared += len(ps) > 1
+        for cls in basics:
+            assert eng.levi_eta_targets(ctx, ps[0], cls) is \
+                eng.levi_eta_targets(ctx, ps[0], basics[0])
     assert shared
+
+
+@pytest.mark.parametrize("spec,max_len,drops", [(("A", 2, "SL"), 6, True),
+                                                (("C", 2, "adjoint"), 6, True),
+                                                (("G", 2, "adjoint"), 6, False),
+                                                (("GL", 3, ""), 5, False)])
+def test_kappa_filter_drops_no_tested_value(spec, max_len, drops):
+    # for a basic class the paper keeps only the classes over M in the
+    # component of b (the kappa-filtered reference).  Once kappa(x) =
+    # kappa(b) that filter drops no value eta_M(x) can take, as Lambda_M ->
+    # Lambda_G is well defined: necessary_condition gives the reference's
+    # verdict and first P for every x of every component of a window, and
+    # predict_levi says "empty" exactly when the sweep has a certificate
+    ctx = affine_context(build_root_datum(*spec))
+    datum = ctx.datum
+    p_full = full_parabolic(datum)
+    taus = [ctx.omega_element(p_full, nf) for nf in datum.lambda_g.window(1)]
+    xs = [ctx.mul(u, tau) for u in affine_ball(ctx, max_len) for tau in taus]
+    proper = [p for p in semistandard_parabolics(datum) if not p.is_full]
+    filtered = {}
+    verdicts = set()
+    for tau in taus:
+        cls = sg.classify(ctx, tau)
+        assert sg.is_basic(datum, cls)
+        for x in xs:
+            want = "component" if ctx.omega_class(x) != cls.kappa else None
+            for p in proper if want is None else ():
+                if not is_p_alcove(ctx, x, p).verdict:
+                    continue
+                if (p, cls) not in filtered:
+                    filtered[p, cls] = _targets_from_scratch(datum, p, cls, True)
+                if p.eta_m(ctx.translation(x)) not in filtered[p, cls]:
+                    want = p.key()
+                    break
+            cert = eng.necessary_condition(ctx, x, cls)
+            got = None if cert is None else \
+                "component" if cert.kind == "component" else cert.parabolic_key
+            assert got == want, (ctx.format(x), cls.key())
+            status, _cert = eng.predict_levi(ctx, x, cls)
+            assert (status == "empty") == \
+                (eng.emptiness_certificate(ctx, x, cls) is not None), ctx.format(x)
+            verdicts.add(want if want in (None, "component") else "levi")
+    assert verdicts == ({None, "component", "levi"} if len(taus) > 1 else {None, "levi"})
+    # the filter keeps every value where kappa_G is determined by the Newton
+    # point (G2 has one component; for GL3 it is the sum of the coordinates),
+    # and drops some for torsion Lambda_G
+    assert drops == any(eng.levi_eta_targets(ctx, p, cls) > want
+                        for (p, cls), want in filtered.items())
 
 
 def _levi_generators_wide_k(ctx, p):
