@@ -38,9 +38,9 @@ class AffineWeyl:
     All operations are pure; the interning and memo tables are the only
     mutable state and are only ever extended (insert-if-absent under the
     interpreter lock), and contexts are cheap to fork into worker
-    processes.  The kept sweep is the exception: engine.kept_sweep grows it
-    in place, reordering its lists when a new tau is merged in, so two
-    threads must not sweep one context at once.
+    processes.  The kept sweep is the exception: engine.kept_sweep and
+    engine.kept_ball grow it in place, reordering its lists when a new tau
+    is merged in, so two threads must not sweep one context at once.
     """
 
     def __init__(self, datum: RootDatum):
@@ -66,9 +66,11 @@ class AffineWeyl:
         # sets and the largest cutoff asked so far: None, or an engine.Sweep
         # (cutoff, frozenset of omegas, sweep, and per position the length,
         # the tau and the central class id of w; then the class count, the
-        # conjugate tables w^{-1} b w by the element id of b, and what growth
-        # reads).  Growth extends its lists and tables in place, keeping every
-        # class id and filled entry, and replaces the record
+        # conjugate tables w^{-1} b w by the element id of b, the ball of W_a
+        # with its depth, which engine.kept_ball may grow ahead of the
+        # products, and what growth reads).  Growth extends its lists and
+        # tables in place, keeping every class id and filled entry, and
+        # replaces the record
         self.sweep: tuple | None = None
         # for central_class: the central cocharacters are none, or Z z for
         # one z with a coordinate z[i] = +-1 (GL_n: z = (1,..,1)); kept as
@@ -161,7 +163,9 @@ class AffineWeyl:
         translation part lam of g = (lam, u): with x = (mu, v), g^{-1} x g =
         (u^{-1}(mu + v lam - lam), u^{-1} v u), whose translation part is the
         affine map lam -> A lam + c, A = u^{-1}(v - 1) and c = u^{-1} mu.
-        Built once per (u, x), it costs one matrix product per g.
+        Built once per (u, x), it costs one matrix product per g.  For a
+        translation x (v = e) A is zero, and the map returns the one value
+        (u^{-1} mu, e), interned once.
         """
         mu, v = self._elts[x]
         W = self.datum.weyl
@@ -171,6 +175,9 @@ class AffineWeyl:
         rows = tuple(tuple(map(operator.sub, r, s)) for r, s in zip(W.mats[uiv], W.mats[ui]))
         c = W.apply(ui, mu)
         f = W.mul(uiv, u)
+        if not any(map(any, rows)):
+            value = self.intern(c, f)
+            return lambda lam: value
         intern, mul = self.intern, operator.mul
 
         def at(lam):

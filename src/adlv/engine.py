@@ -45,7 +45,7 @@ same dimension tables; the w of a pattern are looked up once per distinct
 w^{-1} b w (and tau, where the x accept w by tau).  Patterns that differ
 only at walls a fold never reaches fold alike, so survey_batch does not
 fold them one by one.  It runs in two steps.  prepare_batch decides the
-certificates and groups the w of the kept sweep by pattern over the walls
+certificates and groups the w of the sweep by pattern over the walls
 of all the words; walk_batch then walks the prefix tree of the words depth
 first, refining a partition of the groups.  Only the w whose w^{-1} b w is
 an end of the batch are grouped.  A frontier at the node of a word holds
@@ -60,6 +60,27 @@ Each test is a threshold on the wall key (wall_key), so a class that keeps
 bounds on its keys skips a wall that cannot cut it in O(1).  A walk over
 the words of some of the x meets only walls of the prepared groups, so
 survey --jobs prepares once and its workers walk parts of the x.
+
+Omega cosets.  W~ = W_a x| Omega_G is the disjoint union of the cosets
+Omega_G * u, one per u of W_a: u' * tau = tau * (tau^{-1} u' tau), and
+tau^{-1} u' tau lies in W_a with the length of u'.  So every w = u' * tau of
+a sweep over all of Omega_G lies in exactly one coset Omega_G * u with
+ell(u) = ell(u'), and the cosets of the u of the ball up to the cutoff are
+exactly that sweep.  Omega_G stabilizes the base alcove, so (omega * w)^{-1}.a
+= w^{-1}.a, and for P = G the profile reads w only through k(beta, w^{-1}.a):
+all elements of a coset have one length, one profile and one wall key.
+When b commutes with every omega, (omega w)^{-1} b (omega w) = w^{-1} b w, so
+they have one lookup key as well.  For a basic class of a datum with finite
+Lambda_G all of this holds (P = G, and b lies in Omega_G, which is abelian),
+and prepare_batch checks it with AffineWeyl.mul before it relies on it.
+The w with a given wall key and w^{-1} b w are then the cosets of the u
+with that key and u^{-1} b u, so the first such w in (length, text) order
+is the text-least omega * u over the u of least length among them: the
+members, and so the ties and the witnesses, are those of the full sweep.
+So such a batch sweeps the ball of W_a alone, with one profile, wall key
+and u^{-1} b u per coset, and multiplies out and formats only its members.
+Non-basic classes (P != G, where omega moves R_N) and GL_n (infinite
+Lambda_G, per-x windows) keep the full sweep.
 
 Central translates.  A central cocharacter z, one orthogonal to every root
 (Z(1,..,1) for GL_n, none for the other supported data), gives a central
@@ -79,10 +100,10 @@ of w = u * tau, its central class, and for a class representative b the
 element w^{-1} b w that the stratum of w reads.  So the context keeps them
 with its sweep (kept_sweep): tau and the class id per sweep position, and
 per b a conjugate table over the class ids, read by every later query or
-survey of that class on the context.  prepare_batch fills an entry as it
-first meets the class, through one affine map per finite part u of w
-(AffineWeyl.conj_inv_map): for w = (lam, u), w^{-1} b w is A_u lam + c_u
-with the finite part u^{-1} v u.  A central b (AffineWeyl.is_central: the
+survey of that class on the context; the Omega-coset path makes none.
+prepare_batch fills an entry as it first meets the class, through one affine
+map per finite part u of w (AffineWeyl.conj_inv_map): for w = (lam, u),
+w^{-1} b w is A_u lam + c_u with the finite part u^{-1} v u.  A central b (AffineWeyl.is_central: the
 trivial class, and GL_n classes with central Newton point) has w^{-1} b w =
 b for every w, so its table is created filled with b.  Growing the sweep
 keeps every class id and every filled entry, and extends the tables with
@@ -104,6 +125,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .affine import AffineWeyl
@@ -379,9 +401,14 @@ class Sweep(NamedTuple):
     is its own class.  conj_tables maps the element id of a class
     representative b to its conjugate table, an array over class ids holding
     w^{-1} b w, -1 where not filled yet; it is created, and extended by
-    growth, with b for a central b and with -1 for any other.  For growth
-    the sweep also keeps its ball u -> ell(u), the text of w per position,
-    and per central class of tau the class ids over the ball.
+    growth, with b for a central b and with -1 for any other.
+
+    ball maps each u of W_a with ell(u) <= depth to ell(u), in length order.
+    It grows on its own (kept_ball), so it may reach deeper than the
+    products: the Omega-coset path of prepare_batch reads only the ball.
+    For growth the sweep also keeps the text of w per position, and per
+    central class of tau the class ids over the u of the ball with ell(u)
+    <= cutoff.
     """
     cutoff: int
     union: frozenset
@@ -392,43 +419,67 @@ class Sweep(NamedTuple):
     nclasses: int
     conj_tables: dict
     ball: dict
+    depth: int
     texts: list
     tau_ids: dict
+
+
+def kept_ball(ctx: AffineWeyl, max_len: int) -> Sweep:
+    """
+    The context's kept sweep, with its ball grown in place first when it
+    does not reach max_len.  The ball grows from its deepest shell by the
+    ascents u * s_i of AffineWeyl.ascends, each one longer than u, so no
+    u * s_i is measured and no descent is multiplied out; it grows breadth
+    first (roots.closure), so it stays in length order.  The products are
+    left as they are.
+    """
+    kept = ctx.sweep
+    if kept is None:
+        kept = ctx.sweep = Sweep(0, frozenset(), [], [], [], array("q"), 0, {},
+                                 {ctx.identity: 0}, 0, [], {})
+    if max_len <= kept.depth:
+        return kept
+    ball = kept.ball
+
+    def up(u):
+        # the u * s_i one longer than u, entered in the ball with that length
+        n = ball[u] + 1
+        if n > max_len:
+            return ()
+        ups = [ctx.mul(u, g) for i, g in enumerate(ctx.gens) if ctx.ascends(u, i)]
+        ball.update(dict.fromkeys(ups, n))
+        return ups
+
+    closure([u for u, n in ball.items() if n == kept.depth], up)
+    kept = ctx.sweep = kept._replace(depth=max_len)
+    return kept
 
 
 def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
     """
     The context's kept sweep, grown in place first when it does not cover
     max_len and omegas, to the larger cutoff and the union of the Omega
-    sets.  A larger cutoff grows the ball from its top shell by the ascents
-    u * s_i of AffineWeyl.ascends, each one longer than u, so no u * s_i is
-    measured and no descent is multiplied out; the new u * tau are longer
-    than every kept w, so they go after them.  New tau are merged into the
+    sets.  The ball is grown first (kept_ball), and the new products are
+    those of the u of the ball with cutoff < ell(u) <= the new cutoff, as
+    the ball may already reach deeper; the new u * tau are longer than
+    every kept w, so they go after them.  New tau are merged into the
     (length, text) order.  ell(u * tau) = ell(u), and each position keeps
     its text, so no kept w is formatted or measured again; the class ids and
     the filled table entries stay.
     """
-    kept = ctx.sweep
-    if kept is None:
-        kept = Sweep(0, frozenset(), [], [], [], array("q"), 0, {},
-                     {ctx.identity: 0}, [], {})
-    elif max_len <= kept.cutoff and omegas <= kept.union:
+    kept = kept_ball(ctx, max_len)
+    if max_len <= kept.cutoff and omegas <= kept.union:
         return kept
     cutoff, union = max(max_len, kept.cutoff), omegas | kept.union
-    ball, tau_ids, nclasses = kept.ball, kept.tau_ids, kept.nclasses
-    old = len(ball)
-
-    def up(u):
-        # the u * s_i one longer than u, entered in the ball with that length
-        n = ball[u] + 1
-        if n > cutoff:
-            return ()
-        ups = [ctx.mul(u, g) for i, g in enumerate(ctx.gens) if ctx.ascends(u, i)]
-        ball.update(dict.fromkeys(ups, n))
-        return ups
-
-    closure([u for u, n in ball.items() if n == kept.cutoff], up)
-    us = list(ball.items())
+    tau_ids, nclasses = kept.tau_ids, kept.nclasses
+    # the u of the ball up to the cutoff; the first old of them, up to the
+    # kept cutoff, have their products already
+    us = []
+    for item in kept.ball.items():
+        if item[1] > cutoff:
+            break
+        us.append(item)
+    old = bisect_right(us, kept.cutoff, key=itemgetter(1))
     # W~ = W_a x| Omega and a central t^z lies in Omega, so the central
     # class of w = u * tau is the pair (u, central class of tau)
     for ids in tau_ids.values():
@@ -606,12 +657,12 @@ class Batch(NamedTuple):
     corr2 of class_data, the Omega window of each x (allowed, None for
     finite Lambda_G), the prefix tree of all pending words, index[beta]
     mapping each level j of walls[beta] to its place, and the wall groups of
-    the w of the kept sweep whose w^{-1} b w is an end of the batch
-    (fold_walls): columns[beta] the wall_key[beta] of each group, the
-    profile of its first such w, and its members, the first sweep position
-    of each of its lookup keys.  sweep and conjs are the context's kept
-    sweep and the conjugate table of b; the positions hold until the sweep
-    grows.
+    the w whose w^{-1} b w is an end of the batch (fold_walls): columns[beta]
+    the wall_key[beta] of each group, the profile of one w of it, and its
+    members, as indices into records.  records holds one (w, w^{-1} b w,
+    tau) per member, w = u * tau, in the (length, text) order of w, so a
+    lower index is an earlier w of the sweep.  The walk reads no kept sweep
+    and no conjugate table.
     With no pending x the fields after words are None.
     """
     cutoff: int
@@ -624,8 +675,7 @@ class Batch(NamedTuple):
     columns: list | None = None
     profiles: list | None = None
     members: list | None = None
-    sweep: Sweep | None = None
-    conjs: array | None = None
+    records: list | None = None
 
 
 def survey_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int):
@@ -652,8 +702,7 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     Everything of survey_batch before the walk, as a Batch: the certificates
     of every x, and for the x they leave the reduced words, the class data,
     the Omega windows, the prefix tree of the words, its walls (fold_walls),
-    the kept sweep grown to the cutoff, and the wall groups with their
-    members.
+    and the wall groups with their member records.
 
     The folding frontiers are shared twice.  Across the x, by a walk over the
     prefix tree of their reduced words.  Across the w, by wall pattern: a fold
@@ -661,25 +710,26 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     walls {beta = j} of fold_walls, and wall_key, which counts for each
     positive beta the walls below profile[beta], turns each test into the
     threshold wall_key[beta] <= (index of j in walls[beta]).  The sweep
-    groups the w by key.  A member is kept only when no earlier member of its
+    groups the w by key.  A member is kept only when no earlier w of its
     group had its w^{-1} b w, and its tau when each x accepts w by tau
     (infinite Lambda_G): two members with one key pass every test alike and
-    the later one loses every tie.  The profile and the wall key of w are
-    computed once per central class of w per call; w^{-1} b w once per
-    central class and context, in the conjugate table of b on the kept sweep
-    (see the module docstring).
+    the later one loses every tie.
 
-    w^{-1} b w is read or filled first, and w is skipped, with no profile,
-    wall key or group entry, when it is no end of the batch (fold_walls);
-    for a central b one test b in ends decides every w at once.  That is
-    exact:
+    The groups come from one of two sweeps, with one result.  A batch whose
+    strata Omega_G fixes (Lambda_G finite, the class basic, so P = G, and b
+    commuting with every omega of Omega_G, tested by AffineWeyl.mul) sweeps
+    one u of W_a per coset Omega_G * u (coset_groups, and Omega cosets in
+    the module docstring); any other sweeps the kept sweep (sweep_groups).
+
+    w^{-1} b w is computed first, and w is skipped, with no profile, wall
+    key or group entry, when it is no end of the batch (fold_walls); for a
+    central b one test b in ends decides every w at once.  That is exact:
     - a skipped w can never give a hit: its w^{-1} b w is in no frontier of
       any x once tau is on it;
     - a group's profile may be that of any of its w, as all w with one key
       fold alike, so the first w that is not skipped gives it;
-    - each lookup key that is kept keeps its first sweep position, since the
-      skipped positions hold only other keys, so ties and witnesses are
-      unchanged;
+    - each lookup key that is kept keeps its first w of the sweep, since the
+      skipped w have only other keys, so ties and witnesses are unchanged;
     - a survey --jobs chunk's ends lie in the batch's: its nodes are nodes
       of the batch's tree and reach[u] depends on u alone, so the groups of
       the batch hold every w that a chunk can hit.
@@ -707,6 +757,31 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
         omegas = frozenset().union(*allowed.values())
     tree = prefix_tree(ctx, words)
     walls, ends = fold_walls(ctx, tree)
+    if allowed is None and p.is_full and \
+            all(ctx.mul(b, om) == ctx.mul(om, b) for om in omegas):
+        groups, records = coset_groups(ctx, b, p, walls, ends, cutoff, omegas)
+    else:
+        groups, records = sweep_groups(ctx, b, p, walls, ends, cutoff, omegas, allowed)
+    # the test j >= profile[beta] at the wall {beta = j} passes iff
+    # wall_key[beta] <= index[beta][j], the index of j in walls[beta]
+    index = [{j: i for i, j in enumerate(levels)} for levels in walls]
+    return Batch(cutoff, certified, words, corr2, allowed, tree, index,
+                 list(zip(*groups)), [profile for profile, _ in groups.values()],
+                 [members for _, members in groups.values()], records)
+
+
+def sweep_groups(ctx: AffineWeyl, b: int, p: SemistdParabolic, walls: list, ends: set,
+                 cutoff: int, omegas: frozenset, allowed: dict | None):
+    """
+    The wall groups of prepare_batch over the kept sweep, grown to the
+    cutoff and omegas: ({wall key: (profile, member indices)}, records).
+    The profile and the wall key of w are computed once per central class of
+    w per call; w^{-1} b w once per central class and context, in the
+    conjugate table of b on the kept sweep (see the module docstring), read
+    or filled before anything else of w.  The members of a group are the
+    first sweep positions of its lookup keys, and the kept positions are
+    numbered in sweep order.
+    """
     kept = kept_sweep(ctx, cutoff, omegas)
     ws, taus, classes = kept.ws, kept.taus, kept.classes
     # w^{-1} b w = b for every w when b is central: one test b in ends
@@ -744,12 +819,74 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
             if key not in groups:
                 groups[key] = (profile, {})
         groups[key][1].setdefault(btilde if allowed is None else (btilde, taus[pos]), pos)
-    # the test j >= profile[beta] at the wall {beta = j} passes iff
-    # wall_key[beta] <= index[beta][j], the index of j in walls[beta]
-    index = [{j: i for i, j in enumerate(levels)} for levels in walls]
-    return Batch(cutoff, certified, words, corr2, allowed, tree, index,
-                 list(zip(*groups)), [profile for profile, _ in groups.values()],
-                 [list(firsts.values()) for _, firsts in groups.values()], kept, conjs)
+    firsts = sorted(pos for _, got in groups.values() for pos in got.values())
+    number = {pos: i for i, pos in enumerate(firsts)}
+    records = [(ws[pos], conjs[classes[pos]], taus[pos]) for pos in firsts]
+    return ({key: (profile, [number[pos] for pos in got.values()])
+             for key, (profile, got) in groups.items()}, records)
+
+
+def coset_groups(ctx: AffineWeyl, b: int, p: SemistdParabolic, walls: list, ends: set,
+                 cutoff: int, omegas: frozenset):
+    """
+    The wall groups of prepare_batch for a batch whose strata Omega_G fixes,
+    as sweep_groups gives them, from one u of W_a per coset Omega_G * u.  It
+    reads the ball of the kept sweep, grown to the cutoff (kept_ball), and
+    makes no product u * tau and no conjugate table.  For each u of the ball
+    up to the cutoff it computes u^{-1} b u, through one affine map per
+    finite part (AffineWeyl.conj_inv_map), and skips u when that is no end;
+    else it computes the profile and the wall key of u, and keeps, per (wall
+    key, u^{-1} b u), the u of least length.  The member is the text-least
+    omega * u over those u and all omega of Omega_G: the first w in (length,
+    text) order with that wall key and w^{-1} b w, since every w of the
+    sweep lies in the coset of one u of its length and shares the wall key
+    and w^{-1} b w of that u (see Omega cosets in the module docstring).
+    Only the members are multiplied out and formatted.
+    """
+    kept = kept_ball(ctx, cutoff)
+    prune = not ctx.is_central(b)
+    maps = {}
+    # wall key -> (profile of its first u, {u^{-1} b u: (ell(u), [the u of
+    # that key and u^{-1} b u with that length])})
+    groups: dict[tuple, tuple] = {}
+    if prune or b in ends:
+        for u, n in kept.ball.items():
+            if n > cutoff:
+                break
+            btilde = b
+            if prune:
+                f = ctx.finite(u)
+                at = maps.get(f)
+                if at is None:
+                    at = maps[f] = ctx.conj_inv_map(f, b)
+                btilde = at(ctx.translation(u))
+                if btilde not in ends:
+                    continue
+            profile = orientation_profile(ctx, p, u)
+            key = wall_key(walls, profile)
+            got = groups.get(key)
+            if got is None:
+                got = groups[key] = (profile, {})
+            least = got[1].get(btilde)
+            if least is None:
+                got[1][btilde] = (n, [u])
+            elif least[0] == n:
+                least[1].append(u)
+    # (ell(w), text of w, w, w^{-1} b w, tau, wall key) per member; no two
+    # members have one text
+    found = []
+    for key, (_profile, least) in groups.items():
+        for btilde, (n, us) in least.items():
+            text, w, om = min((ctx.format(w), w, om) for u in us for om in omegas
+                              for w in (ctx.mul(om, u),))
+            found.append((n, text, w, btilde, om, key))
+    found.sort()
+    members = {key: [] for key in groups}
+    records = []
+    for _n, _text, w, btilde, om, key in found:
+        members[key].append(len(records))
+        records.append((w, btilde, om))
+    return {key: (profile, members[key]) for key, (profile, _) in groups.items()}, records
 
 
 def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
@@ -759,8 +896,11 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
     words against the groups of the whole batch.  That is exact: the walls of
     its tree are among the batch's, so every test is a threshold on the same
     wall keys; groups finer than its own walls need only refine its
-    partition; and between equal strata the lowest sweep position still
-    wins.  So a result does not depend on how the pending x are split.
+    partition; and between equal strata the lowest member index, the first
+    w of the sweep, still wins.  So a result does not depend on how the
+    pending x are split.  The walk reads only the batch: its members are
+    records (w, w^{-1} b w, tau), so it reads no kept sweep and no
+    conjugate table.
 
     One depth-first walk of the prefix tree refines a partition of the
     groups: all groups start in one class at the root, and at a child
@@ -771,7 +911,7 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
     serves them all, and only the frontiers on the current path are held.
     The x whose words end at a node are looked up there, in the frontier of
     every class, for every member of its groups; between equal strata the
-    lowest sweep position wins, over all classes, which is the first w in
+    lowest member index wins, over all classes, which is the first w in
     sweep order.  The tau of each x goes onto the frontier of each class at
     its node (see the module docstring).
     """
@@ -781,8 +921,7 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
     parents, need, order = batch.tree if xids is None else prefix_tree(ctx, words)
     index, columns, profiles, members = batch.index, batch.columns, batch.profiles, \
         batch.members
-    ws, taus, classes = batch.sweep.ws, batch.sweep.taus, batch.sweep.classes
-    conjs, corr2, allowed = batch.conjs, batch.corr2, batch.allowed
+    records, corr2, allowed = batch.records, batch.corr2, batch.allowed
     children: dict[int, list] = {}
     for u in order:
         par, gi = parents[u]
@@ -822,7 +961,7 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
         return [(gids, lo, hi, fold_step(ctx, frontier, gi, profiles[gids[0]]))
                 for gids, lo, hi in subs]
 
-    # best[x] = (dim, sweep position, w) of the stratum kept so far
+    # best[x] = (dim, member index, w) of the stratum kept so far
     best: dict[int, tuple | None] = dict.fromkeys(words)
     root = (list(range(len(profiles))), [min(col) for col in columns],
             [max(col) for col in columns], {ctx.identity: 0})
@@ -842,16 +981,17 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
                 if tau != ctx.identity:
                     frontier = {ctx.mul(y, tau): d for y, d in frontier.items()}
                 for g in gids:
-                    for pos in members[g]:
-                        got = frontier.get(conjs[classes[pos]])
+                    for i in members[g]:
+                        w, btilde, tau_w = records[i]
+                        got = frontier.get(btilde)
                         if got is None:
                             continue
-                        if ok is not None and taus[pos] not in ok:
+                        if ok is not None and tau_w not in ok:
                             continue
                         val = stratum_value(got, corr2)
                         cur = best[x]
-                        if cur is None or (val, -pos) > (cur[0], -cur[1]):
-                            best[x] = (val, pos, ws[pos])
+                        if cur is None or (val, -i) > (cur[0], -cur[1]):
+                            best[x] = (val, i, w)
         for v, g in children.get(u, ()):
             stack.append((v, g, parts))
     cutoff = batch.cutoff

@@ -116,6 +116,13 @@ def test_survey_parallel_matches_serial():
     _, out1 = run_cli(gl3 + ["--jobs", "1"])
     _, out2 = run_cli(gl3 + ["--jobs", "2"])
     assert out1 == out2
+    # a basic class with a non-central b in Omega_G, whose workers walk the
+    # members of the Omega-coset path
+    a2 = ["survey", "--type", "A", "--rank", "2", "--variant", "SL",
+          "--class-key", "nu=[0,0,0];kappa=[0,0,2]", "--max-len", "5"]
+    _, out1 = run_cli(a2 + ["--jobs", "1"])
+    _, out2 = run_cli(a2 + ["--jobs", "2"])
+    assert out1 == out2 and '"nonempty"' in out1
 
 
 def test_survey_cache_cold_vs_warm(tmp_path):
@@ -402,11 +409,12 @@ def test_query_under_python_O_matches(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("spec,key", [(("C", 2, ""), "trivial"),
-                                      (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]")])
+                                      (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]"),
+                                      (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]")])
 def test_survey_worker_only_walks(monkeypatch, spec, key):
     # a worker walks its chunk against the prepared batch it inherits: no
-    # certificate, sweep growth, profile, wall key or wall list is computed
-    # again, and the chunks give the results of one survey_batch
+    # certificate, sweep or ball growth, profile, wall key or wall list is
+    # computed again, and the chunks give the results of one survey_batch
     from adlv import affine_context, build_root_datum
     ctx = affine_context(build_root_datum(*spec))
     cls = cli.parse_class_key(ctx, key)
@@ -419,8 +427,8 @@ def test_survey_worker_only_walks(monkeypatch, spec, key):
     def forbidden(*args, **kwargs):
         raise AssertionError("a worker must only walk")
 
-    for name in ("kept_sweep", "orientation_profile", "wall_key", "fold_walls",
-                 "emptiness_certificate"):
+    for name in ("kept_sweep", "kept_ball", "orientation_profile", "wall_key",
+                 "fold_walls", "emptiness_certificate"):
         monkeypatch.setattr(cli.eng, name, forbidden)
     monkeypatch.setattr(cli, "_survey_state", (ctx, batch))
     got = {}

@@ -527,6 +527,12 @@ def _check_kept_sweep(ctx):
         assert class_of.setdefault(c, ctx.central_class(w)) == ctx.central_class(w)
     assert kept.lengths == [ctx.length(w) for w in kept.ws]
     assert kept.texts == [ctx.format(w) for w in kept.ws]
+    # the ball: every u of W_a up to its depth, at least the cutoff, with
+    # its exact length, in length order
+    assert kept.depth >= kept.cutoff
+    assert kept.ball == affine_ball(ctx, kept.depth)
+    lengths = list(kept.ball.values())
+    assert lengths == sorted(lengths)
     for w, tau in zip(kept.ws, kept.taus, strict=True):
         assert tau in kept.union
         assert ctx.omega_class(w) == ctx.omega_class(tau)
@@ -547,11 +553,13 @@ def test_conjugate_tables_on_the_kept_sweep(spec):
     # Omega windows grow so that the sweep is rebuilt between them; the
     # tables stay exact through it, and the last round, on a context warmed
     # by the others, agrees with the per-w reference; a new datum gives a
-    # new context
+    # new context.  Two seeds are non-basic, so that two tables are made
+    # where the basic classes take the Omega-coset path, which makes none
     ctx = affine_context(RootDatum(*spec))
     datum = ctx.datum
     unit = (1,) + (0,) * (datum.d - 1)
-    seeds = [ctx.identity, ctx.from_translation(unit)]
+    seeds = [ctx.identity, ctx.from_translation(unit),
+             ctx.from_translation(tuple(2 * v for v in unit))]
     if datum.lambda_g.order() not in (None, 1):
         seeds.append(ctx.parse("tau"))
     classes = [sg.classify(ctx, g) for g in seeds]
@@ -583,7 +591,7 @@ def _filled_entries(kept):
 
 
 @pytest.mark.parametrize("spec,key,grows", [
-    (("C", 2, "adjoint"), "trivial", "cutoff"),
+    (("C", 2, "adjoint"), "nu=[1,0];kappa=[0,0]", "cutoff"),
     (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", "union"),
 ])
 def test_conjugate_tables_survive_growth(spec, key, grows):
@@ -638,7 +646,15 @@ def test_conj_inv_closed_form(spec):
     if ctx.datum.lambda_g.order() is None:
         ws = [ctx.mul(w, ctx.parse(f"tau^{k}")) for w in ws for k in (-2, 0, 1, 3)]
     assert len({ctx.omega_class(w) for w in ws}) == (ctx.datum.lambda_g.order() or 4)
-    bs = random.Random(7).sample(ws, 12)
+    # and translations b, central (e, and t[1,1,1] for GL3) and not, whose
+    # map returns one value for every lam
+    datum = ctx.datum
+    unit = (1,) + (0,) * (datum.d - 1)
+    translations = [ctx.identity, ctx.from_translation(unit),
+                    ctx.from_translation((1, -1) + (0,) * (datum.d - 2))]
+    translations += [ctx.from_translation(z) for z in datum.central_cocharacters]
+    assert {ctx.is_central(b) for b in translations} == {True, False}
+    bs = random.Random(7).sample(ws, 12) + translations
     for b in bs:
         maps = {}
         for w in ws:
@@ -658,13 +674,23 @@ def test_conj_inv_closed_form(spec):
 def test_central_class_table_is_prefilled(spec, key):
     # for a central b the table survey_batch creates holds b at every class
     # id, exact by the kept-sweep check, and growth of the cutoff and of the
-    # Omega set extends it with b, so no entry is ever filled
+    # Omega set extends it with b, so no entry is ever filled.  The trivial
+    # class of A2 SL takes the Omega-coset path instead: it makes no table,
+    # grows the ball to the cutoff and leaves the products at the length of
+    # the survey
     ctx = affine_context(RootDatum(*spec))
     cls = parse_class_key(ctx, key)
     b = eng.class_data(ctx, cls)[0]
     assert ctx.is_central(b)
     xs = survey_elements(ctx, cls, 3)
     eng.survey_batch(ctx, cls, xs, 5)
+    if ctx.datum.lambda_g.order() is not None:
+        kept = ctx.sweep
+        assert b not in kept.conj_tables and not kept.conj_tables
+        assert kept.cutoff == max(kept.lengths) == 3
+        assert kept.depth == max(kept.ball.values()) == 5
+        _check_kept_sweep(ctx)
+        return
     table = ctx.sweep.conj_tables[b]
     assert list(table) == [b] * ctx.sweep.nclasses
     assert _check_kept_sweep(ctx) == len(ctx.sweep.ws)
@@ -732,6 +758,116 @@ def test_kept_sweep_grows_the_ball(spec):
         assert kept.ball == affine_ball(ctx, cutoff)
     assert kept.ws == _reference_sweep(ctx, 7, union)
     _check_kept_sweep(ctx)
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("B", 2, "adjoint"), ("C", 2, "adjoint"),
+                                  ("A", 3, ""), ("D", 4, "")])
+def test_omega_cosets_share_profile_and_conjugate(spec):
+    # what the Omega-coset path of prepare_batch rests on: for every basic
+    # class (P = G) and every w of the length-3 ball times Omega_G, each
+    # omega * w, omega in Omega_G, has the length, the profile and the
+    # w^{-1} b w of w.  For a non-basic class (P != G) some omega * w has
+    # another profile, which is why those classes keep the full sweep
+    ctx = affine_context(build_root_datum(*spec))
+    datum = ctx.datum
+    omegas = list(ctx.omega_g_elements().values())
+    ws = ball_with_omega(ctx, 3)
+    basics = [sg.classify(ctx, tau) for tau in omegas]
+    assert len({cls.kappa for cls in basics}) == len(omegas) > 1
+    for cls in basics:
+        b, p, _corr2 = eng.class_data(ctx, cls)
+        assert sg.is_basic(datum, cls) and p.is_full
+        for w in ws:
+            profile = eng.orientation_profile(ctx, p, w)
+            btilde = ctx.conj_inv(w, b)
+            for om in omegas:
+                ow = ctx.mul(om, w)
+                assert ctx.length(ow) == ctx.length(w)
+                assert eng.orientation_profile(ctx, p, ow) == profile, ctx.format(ow)
+                assert ctx.conj_inv(ow, b) == btilde, ctx.format(ow)
+    cls = sg.classify(ctx, ctx.from_translation((1,) + (0,) * (datum.d - 1)))
+    _b, p, _corr2 = eng.class_data(ctx, cls)
+    assert not sg.is_basic(datum, cls) and not p.is_full
+    assert any(eng.orientation_profile(ctx, p, ctx.mul(om, w)) !=
+               eng.orientation_profile(ctx, p, w) for w in ws for om in omegas)
+
+
+@pytest.mark.parametrize("spec,key,cutoff", [
+    (("C", 2, "adjoint"), "nu=[0,0];kappa=[0,1]", 6),
+    (("A", 3, ""), "nu=[0,0,0,0];kappa=[0,0,0,2]", 5),
+    (("D", 4, ""), "nu=[0,0,0,0];kappa=[0,0,1,1]", 4),
+    (("G", 2, "adjoint"), "trivial", 6),
+])
+def test_coset_groups_match_sweep_groups(spec, key, cutoff):
+    # the Omega-coset path gives the wall keys, the members and the member
+    # records of the full sweep, over the walls of a survey and over no
+    # walls at all.  With no walls every u has one wall key, so several u
+    # of least length share a u^{-1} b u, and the member is the text-least
+    # omega * u over all of them, which is often not one of the first u
+    ctx = affine_context(build_root_datum(*spec))
+    cls = parse_class_key(ctx, key)
+    b, p, _corr2 = eng.class_data(ctx, cls)
+    omegas = frozenset(eng.omega_window(ctx, cls, [b]))
+    xs = survey_elements(ctx, cls, 3)
+    walls, _ends = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
+                                                             for x in xs}))
+    every = {ctx.conj_inv(w, b) for w in eng.sweep_elements(ctx, cutoff, omegas)}
+    for levels in (walls, [[] for _ in walls]):
+        coset = eng.coset_groups(ctx, b, p, levels, every, cutoff, omegas)
+        full = eng.sweep_groups(ctx, b, p, levels, every, cutoff, omegas, None)
+        assert {k: members for k, (_, members) in coset[0].items()} == \
+            {k: members for k, (_, members) in full[0].items()}
+        assert coset[1] == full[1]
+    assert len(coset[0]) == 1 and len(coset[1]) == len(every)
+
+
+def _canonical_ids(classes):
+    # class ids renumbered by first position: the ids follow the iteration
+    # order of the Omega set, which may differ between contexts
+    first = {}
+    return [first.setdefault(c, len(first)) for c in classes]
+
+
+@pytest.mark.parametrize("spec,basic,other", [
+    (("C", 2, "adjoint"), "trivial", "nu=[1,0];kappa=[0,0]"),
+    (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", "nu=[1,0,-1];kappa=[0,0,0]"),
+])
+def test_ball_grows_ahead_of_the_products(spec, basic, other):
+    # a basic class at cutoff 8 grows the ball to 8 and the products only to
+    # the survey's length; a non-basic class then grows the products to 6,
+    # from the deeper ball, and to 9, past it.  The kept products and
+    # filled table entries equal those of a fresh context that ran only the
+    # non-basic surveys, and every result equals a fresh run's
+    plan = [(basic, 8), (other, 6), (other, 9)]
+
+    def run(ctx, steps):
+        out = []
+        for key, cutoff in steps:
+            cls = parse_class_key(ctx, key)
+            got = eng.survey_batch(ctx, cls, survey_elements(ctx, cls, 4), cutoff)
+            assert any(r.nonempty for r in got.values())
+            # by text, as element ids differ between contexts
+            out.append({ctx.format(x): (r.status, r.dim, r.witness_w is not None
+                                        and ctx.format(r.witness_w))
+                        for x, r in got.items()})
+            _check_kept_sweep(ctx)
+        return out
+
+    def products(ctx):
+        kept = ctx.sweep
+        b = eng.class_data(ctx, parse_class_key(ctx, other))[0]
+        table = kept.conj_tables[b]
+        return ([ctx.format(w) for w in kept.ws], kept.lengths,
+                [ctx.format(tau) for tau in kept.taus], _canonical_ids(kept.classes),
+                kept.nclasses, [table[c] >= 0 and ctx.format(table[c]) for c in kept.classes])
+
+    warm = affine_context(RootDatum(*spec))
+    got = run(warm, plan)
+    assert warm.sweep.cutoff == warm.sweep.depth == 9
+    assert got == [run(affine_context(RootDatum(*spec)), [step])[0] for step in plan]
+    fresh = affine_context(RootDatum(*spec))
+    run(fresh, plan[1:])
+    assert products(warm) == products(fresh)
 
 
 @pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
@@ -860,7 +996,9 @@ def test_profiles_only_for_the_w_that_reach_an_end(monkeypatch, spec, class_key,
                                                    central):
     # prepare_batch computes one profile per class of w whose w^{-1} b w is
     # an end of the batch: fewer than all classes up to the cutoff for a
-    # non-central b, all of them for the trivial class
+    # non-central b, all of them for the trivial class.  The basic classes
+    # of A2 SL and C2 take the Omega-coset path, whose profiles are those of
+    # the u of the ball up to the cutoff whose u^{-1} b u is an end
     ctx = affine_context(build_root_datum(*spec))
     cls = parse_class_key(ctx, class_key)
     b = eng.class_data(ctx, cls)[0]
@@ -873,15 +1011,27 @@ def test_profiles_only_for_the_w_that_reach_an_end(monkeypatch, spec, class_key,
     batch = eng.prepare_batch(ctx, cls, xs, 6)
     monkeypatch.undo()
     assert batch.words
-    omegas = frozenset(eng.omega_window(ctx, cls, [b])) if batch.allowed is None \
-        else frozenset().union(*batch.allowed.values())
-    kept = batch.sweep
-    every = {kept.classes[pos] for pos in range(bisect.bisect_right(kept.lengths, 6))
-             if kept.taus[pos] in omegas}
     _walls, ends = eng.fold_walls(ctx, batch.tree)
-    reached = {c for c in every if batch.conjs[c] in ends}
+    kept = ctx.sweep
+    if batch.allowed is None:
+        every = [u for u, n in kept.ball.items() if n <= 6]
+        reached = [u for u in every if ctx.conj_inv(u, b) in ends]
+        assert [args[2] for args in calls] == reached
+    else:
+        omegas = frozenset().union(*batch.allowed.values())
+        every = {kept.classes[pos] for pos in range(bisect.bisect_right(kept.lengths, 6))
+                 if kept.taus[pos] in omegas}
+        reached = {c for c in every if kept.conj_tables[b][c] in ends}
     assert len(calls) == len(reached)
     assert (len(reached) == len(every)) == central
+
+
+def _for_every_case(hyp, cases, check):
+    # check(case, data) on 5 derandomized examples of every case, so that
+    # every case runs however many there are
+    for case in sorted(cases):
+        hyp.settings(max_examples=5, deadline=None, derandomize=True)(
+            hyp.given(hyp.strategies.just(case), hyp.strategies.data())(check))()
 
 
 def test_survey_batch_matches_reference_on_random_batches():
@@ -895,6 +1045,8 @@ def test_survey_batch_matches_reference_on_random_batches():
                                        (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", 4, 5),
                                        (("C", 2, "adjoint"), "trivial", 5, 6),
                                        (("C", 2, "adjoint"), "nu=[1,0];kappa=[0,0]", 4, 6),
+                                       (("C", 2, "adjoint"), "nu=[0,0];kappa=[0,1]", 5, 6),
+                                       (("B", 2, "adjoint"), "nu=[0,0];kappa=[0,1]", 5, 6),
                                        (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 5),
                                        (("G", 2, "adjoint"), "nu=[0,1];kappa=[0,0]", 6, 7),
                                        (("GL", 3, ""), "nu=[1/2,1/2,0];kappa=[0,0,1]", 4, 5)]:
@@ -903,8 +1055,6 @@ def test_survey_batch_matches_reference_on_random_batches():
         cases[spec, key] = (ctx, cls, survey_elements(ctx, cls, max_len), cutoff)
     want = {}
 
-    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
-    @hyp.given(st.sampled_from(sorted(cases)), st.data())
     def check(case, data):
         ctx, cls, xs, cutoff = cases[case]
         batch = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=10,
@@ -916,7 +1066,8 @@ def test_survey_batch_matches_reference_on_random_batches():
                 want[case, x] = reference_solve(ctx, x, cls, cutoff)
             assert outcome(got[x]) == want[case, x], ctx.format(x)
 
-    check()
+    _for_every_case(hyp, cases, check)
+    assert {case for case, _x in want} == set(cases)
     assert any(status == "nonempty" for status, _dim, _w in want.values())
 
 
@@ -928,7 +1079,9 @@ def test_walks_of_a_split_batch_match_one_survey_batch():
     st = hyp.strategies
     cases = {}
     for spec, key, max_len, cutoff in [(("A", 2, "SL"), "trivial", 4, 5),
+                                       (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", 4, 5),
                                        (("C", 2, "adjoint"), "trivial", 5, 6),
+                                       (("C", 2, "adjoint"), "nu=[0,0];kappa=[0,1]", 5, 6),
                                        (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 5),
                                        (("G", 2, "adjoint"), "nu=[0,1];kappa=[0,0]", 6, 7),
                                        (("GL", 3, ""), "nu=[1/2,1/2,0];kappa=[0,0,1]", 4, 5)]:
@@ -937,8 +1090,6 @@ def test_walks_of_a_split_batch_match_one_survey_batch():
         cases[spec, key] = (ctx, cls, survey_elements(ctx, cls, max_len), cutoff)
     walked = []
 
-    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
-    @hyp.given(st.sampled_from(sorted(cases)), st.data())
     def check(case, data):
         ctx, cls, xs, cutoff = cases[case]
         subset = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=12,
@@ -958,7 +1109,7 @@ def test_walks_of_a_split_batch_match_one_survey_batch():
             assert outcome(got[x]) == outcome(want[x]), ctx.format(x)
         walked.extend(got[x].status for x in pending)
 
-    check()
+    _for_every_case(hyp, cases, check)
     assert "nonempty" in walked
 
 
