@@ -16,9 +16,12 @@ used (one "adlv: ..." line on stderr), 2 = a disagreement was found in
 query, survey and figure take --cache-dir (default $ADLV_CACHE_DIR).  survey
 and figure share one driver, survey_results: the same x, the same default
 cutoff and the same cache entries.  A result is turned into JSON once, by
-AdlvResult.to_json, where it is decided: with --jobs, a certified x in the
-parent, which prepares the survey before it forks, and a walked x in its
-forked worker.  Cache hits and worker results are used as JSON from there on.
+AdlvResult.to_json, where it is decided: with --jobs above 1, a certified x
+in the parent, which prepares the survey before it forks, and a walked x in
+its forked worker.  Cache hits and worker results are used as JSON from
+there on.  survey runs in one process by default (--jobs 1): the workers
+split only the fold walk, a small part of a survey, and forking them cost
+more than it saved on A4 surveys to length 6 and 7.
 
 JSON output schema (version 1).  Survey records and query output carry:
 x, length, shrunken, eta1, eta2, class_key, computed {status, dim,
@@ -85,8 +88,8 @@ def build_parser():
     common(p)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="forked worker processes for the fold walk (default: 1)")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--check", action="store_true",
                    help="exit 2 when the computed results contradict a prediction")
@@ -169,7 +172,14 @@ def cmd_classes(args, out=sys.stdout):
 
 
 def record_for(ctx, cls, xid, computed):
-    """The survey and query record of x; computed is AdlvResult.to_json."""
+    """
+    The survey and query record of x; computed is AdlvResult.to_json.  For a
+    basic class predicted_levi is read off computed: the emptiness
+    certificate of the sweep is necessary_condition, the test that
+    engine.predict_levi makes, so the prediction is "empty" iff computed
+    carries a certificate.  Certificates do not depend on the cutoff, and
+    cached results carry them, so warm and cold records are equal.
+    """
     datum = ctx.datum
     basic = sg.is_basic(datum, cls)
     rec = {
@@ -186,7 +196,7 @@ def record_for(ctx, cls, xid, computed):
         "agree_levi": None,
     }
     if basic:
-        status, cert = eng.predict_levi(ctx, xid, cls)
+        status = "empty" if computed["certificates"] else "nonempty-predicted"
         rec["predicted_levi"] = {"status": status}
         if computed["status"] == "nonempty":
             rec["agree_levi"] = status == "nonempty-predicted"
@@ -416,9 +426,8 @@ def cmd_survey(args, out=sys.stdout):
     # before the sweep; the sink and the store close on every exit
     with CacheStore(args.cache_dir) as store, \
             (open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out)) as sink:
-        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
         xs, cutoff, results = survey_results(ctx, cls, args.max_len, args.cutoff,
-                                             store, jobs)
+                                             store, args.jobs)
         recs = [record_for(ctx, cls, x, results[x]) for x in xs]
         summary = {
             "schema_version": SCHEMA_VERSION,

@@ -296,6 +296,29 @@ def test_warm_query_prints_the_cold_bytes(tmp_path):
     assert warm == cold and '"certificates"' in cold[1]
 
 
+@pytest.mark.parametrize("argv", [
+    [*C2, "--class-key", "trivial", "--max-len", "6"],
+    [*C2, "--class-key", "nu=[0,0];kappa=[0,1]", "--max-len", "6"],
+    [*A2, "--class-key", "nu=[0,0,0];kappa=[0,0,1]", "--max-len", "5"],
+])
+def test_levi_prediction_is_read_off_the_certificates(tmp_path, argv):
+    # record_for reads predicted_levi of a basic class off the computed
+    # certificates: it is predict_levi's status on every x, and a warm
+    # survey, whose results come from the cache, prints the cold bytes
+    survey = ["survey", *argv, "--cache-dir", str(tmp_path / "c")]
+    cold = run_cli(survey)
+    assert run_cli(survey) == cold
+    ctx = cli.affine_context(cli._datum(cli.build_parser().parse_args(survey)))
+    cls = cli.parse_class_key(ctx, argv[argv.index("--class-key") + 1])
+    seen = set()
+    for line in cold[1].splitlines()[:-1]:
+        rec = json.loads(line)
+        status = rec["predicted_levi"]["status"]
+        assert status == cli.eng.predict_levi(ctx, ctx.parse(rec["x"]), cls)[0], rec["x"]
+        seen.add(status)
+    assert seen == {"empty", "nonempty-predicted"}
+
+
 def test_figure_shares_the_survey_cache(tmp_path, monkeypatch):
     args = [*C2, "--class-key", "trivial", "--max-len", "4", "--cutoff", "6"]
     survey_cache, figure_cache = tmp_path / "s", tmp_path / "f"

@@ -809,7 +809,7 @@ def test_coset_groups_match_sweep_groups(spec, key, cutoff):
     b, p, _corr2 = eng.class_data(ctx, cls)
     omegas = frozenset(eng.omega_window(ctx, cls, [b]))
     xs = survey_elements(ctx, cls, 3)
-    walls, _ends = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
+    walls, _ends, _reach = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
                                                              for x in xs}))
     every = {ctx.conj_inv(w, b) for w in eng.sweep_elements(ctx, cutoff, omegas)}
     for levels in (walls, [[] for _ in walls]):
@@ -882,7 +882,7 @@ def test_wall_key_fixes_the_fold(spec, class_key, max_len, cutoff):
     cls = parse_class_key(ctx, class_key)
     xs = random.Random(7).sample(survey_elements(ctx, cls, max_len), 6)
     b, p, _corr2 = eng.class_data(ctx, cls)
-    walls, _ends = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
+    walls, _ends, _reach = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
                                                              for x in xs}))
     ws = eng.sweep_elements(ctx, cutoff, eng.omega_window(ctx, cls, xs + [b]))
     groups = {}
@@ -898,6 +898,34 @@ def test_wall_key_fixes_the_fold(spec, class_key, max_len, cutoff):
                     (ctx.format(x), ctx.format(members[0]), ctx.format(w))
 
 
+def _carried_to_a_key(ctx, tree, keys):
+    # {v: {y: kept}} over the nodes v other than e of the prefix tree
+    # (parents, need, order) and the y of the Bruhat interval below the
+    # parent of v, the elements its frontier can hold: y is kept iff some
+    # subword of a word suffix below v carries y to a lookup key, that is
+    # y times some of the letters on the path from the parent of v to a
+    # node u, times tau, lies in keys for an x = word * tau ending at u.
+    # Found forward, by multiplying out the subwords
+    parents, need, order = tree
+    children = {}
+    for u in order:
+        children.setdefault(parents[u][0], []).append(u)
+
+    def hits(u, ys):
+        if any(ctx.mul(y, tau) in keys for _x, tau in need.get(u, ()) for y in ys):
+            return True
+        return any(hits(c, ys | {ctx.mul(y, ctx.gens[parents[c][1]]) for y in ys})
+                   for c in children.get(u, ()))
+
+    below = {ctx.identity: {ctx.identity}}
+    out = {}
+    for v in order:
+        par, gi = parents[v]
+        below[v] = below[par] | {ctx.mul(y, ctx.gens[gi]) for y in below[par]}
+        out[v] = {y: hits(v, {y, ctx.mul(y, ctx.gens[gi])}) for y in below[par]}
+    return out
+
+
 @pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
     (("C", 2, "adjoint"), "trivial", 6, 8),
     (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 4, 7),
@@ -906,9 +934,12 @@ def test_refinement_folds_once_per_fold_history(monkeypatch, spec, class_key,
                                                 max_len, cutoff):
     # two wall groups fold alike at a node exactly when their folds passed
     # the same tests at every step of its path, each at the walls crossed
-    # out of the group's own frontier; survey_batch folds once per class of
-    # groups per node, so its fold_step calls number the distinct (node,
-    # history of test vectors), found here by folding each group on its own
+    # out of the group's own frontier cut to the entries that can still
+    # reach a lookup key below the node; survey_batch folds once per class
+    # of groups per node whose cut frontier is not empty, so its fold_step
+    # calls number the distinct (node, history of test vectors), found here
+    # by folding each group on its own, cut by the definition of the keys
+    # a subword carries an entry to.  Uncut, the groups have more histories
     ctx = affine_context(build_root_datum(*spec))
     cls = parse_class_key(ctx, class_key)
     xs = survey_elements(ctx, cls, max_len)
@@ -927,26 +958,81 @@ def test_refinement_folds_once_per_fold_history(monkeypatch, spec, class_key,
 
     monkeypatch.setattr(eng, "wall_key", recording_key)
     monkeypatch.setattr(eng, "fold_step", counting_fold)
-    eng.survey_batch(ctx, cls, xs, cutoff)
+    batch = eng.prepare_batch(ctx, cls, xs, cutoff)
+    eng.walk_batch(ctx, batch)
     monkeypatch.undo()
-    words = {x: ctx.reduced_word(x) for x in xs
-             if eng.emptiness_certificate(ctx, x, cls) is None}
-    parents, _need, order = eng.prefix_tree(ctx, words)
-    histories = set()
+    carried = _carried_to_a_key(ctx, batch.tree,
+                                {btilde for _w, btilde, _tau in batch.records})
+    parents, _need, order = batch.tree
+    histories, uncut = set(), set()
     for profile in profiles.values():
-        frontiers = {ctx.identity: {ctx.identity: 0}}
-        history = {ctx.identity: ()}
-        for u in order:
-            par, gi = parents[u]
-            vector = set()
-            for c in frontiers[par]:
-                _cs, beta, j, _upper = ctx.step_row(c)[gi]
-                vector.add((beta, j, j >= profile[beta]))
-            history[u] = history[par] + (frozenset(vector),)
-            histories.add((u, history[u]))
-            frontiers[u] = fold_step(ctx, frontiers[par], gi, profile)
+        for cut, found in ((True, histories), (False, uncut)):
+            frontiers = {ctx.identity: {ctx.identity: 0}}
+            history = {ctx.identity: ()}
+            for u in order:
+                par, gi = parents[u]
+                frontier = {c: d for c, d in frontiers.get(par, {}).items()
+                            if not cut or carried[u][c]}
+                if not frontier:
+                    continue
+                vector = set()
+                for c in frontier:
+                    _cs, beta, j, _upper = ctx.step_row(c)[gi]
+                    vector.add((beta, j, j >= profile[beta]))
+                history[u] = history[par] + (frozenset(vector),)
+                found.add((u, history[u]))
+                frontiers[u] = fold_step(ctx, frontier, gi, profile)
     assert len(profiles) > 1 and order
     assert len(folds) == len(histories) < len(profiles) * len(order)
+    assert len(histories) < len(uncut)
+
+
+@pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
+    (("C", 2, "adjoint"), "trivial", 5, 7),
+    (("C", 2, "adjoint"), "nu=[1,0];kappa=[0,0]", 4, 6),
+    (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", 4, 6),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 3, 5),
+])
+def test_pruned_walk_keeps_every_lookup_value(spec, class_key, max_len, cutoff):
+    # the walk cuts each frontier to the entries that can still reach a
+    # lookup key below the node (pull_back), yet reads the value of the
+    # uncut fold at every lookup: walking the batch with one member at a
+    # time gives each x the stratum of that member's w alone, which must be
+    # the one orbit_dim_table gives, for the whole batch and for chunks of
+    # it.  And every entry a cut drops reaches no key below its node, by
+    # the definition of the keys a subword carries it to
+    ctx = affine_context(build_root_datum(*spec))
+    cls = parse_class_key(ctx, class_key)
+    xs = survey_elements(ctx, cls, max_len)
+    batch = eng.prepare_batch(ctx, cls, xs, cutoff)
+    _b, p, corr2 = eng.class_data(ctx, cls)
+    pending = list(batch.words)
+    keys = {btilde for _w, btilde, _tau in batch.records}
+    chunks = [pending, pending[0::3], pending[1::3], pending[2::3]]
+    dropped = hits = 0
+    for chunk in chunks:
+        tree = batch.tree if chunk is pending else \
+            eng.prefix_tree(ctx, {x: batch.words[x] for x in chunk})
+        keep = eng.pull_back(ctx, tree, batch.reach, keys)
+        carried = _carried_to_a_key(ctx, tree, keys)
+        assert set(keep) == set(carried)
+        for v, kept in carried.items():
+            assert keep[v] == {y for y, hit in kept.items() if hit}, ctx.format(v)
+            dropped += sum(1 for hit in kept.values() if not hit)
+    for i, (w, btilde, tau_w) in enumerate(batch.records):
+        alone = batch._replace(members=[[i] if i in m else [] for m in batch.members])
+        for chunk in chunks:
+            got = eng.walk_batch(ctx, alone, chunk)
+            for x in chunk:
+                val = eng.orbit_dim_table(ctx, x, p, w).get(btilde)
+                if val is None or batch.allowed is not None and \
+                        tau_w not in batch.allowed[x]:
+                    want = "empty-up-to-cutoff", None, None
+                else:
+                    want = "nonempty", eng.stratum_value(val, corr2), w
+                    hits += 1
+                assert outcome(got[x]) == want, (ctx.format(x), ctx.format(w))
+    assert dropped and hits
 
 
 @pytest.mark.parametrize("spec,class_key,max_len,cutoff,twisted", [
@@ -967,7 +1053,7 @@ def test_pruned_w_have_empty_strata(spec, class_key, max_len, cutoff, twisted):
     assert twisted == all(ctx.reduced_word(x)[1] != ctx.identity for x in xs)
     dropped = 0
     for batch in (xs[:2], random.Random(3).sample(xs, 4)):
-        _walls, ends = eng.fold_walls(
+        _walls, ends, _reach = eng.fold_walls(
             ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x) for x in batch}))
         for w in eng.sweep_elements(ctx, cutoff, eng.omega_window(ctx, cls, batch + [b])):
             btilde = ctx.conj_inv(w, b)
@@ -982,7 +1068,7 @@ def test_pruned_w_have_empty_strata(spec, class_key, max_len, cutoff, twisted):
     for x in xs[::len(xs) // 4]:
         word, tau = ctx.reduced_word(x)
         top = ctx.mul(x, ctx.inv(tau))
-        _walls, ends = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: (word, tau)}))
+        _walls, ends, _reach = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: (word, tau)}))
         below = [y for y in eng.sweep_elements(ctx, len(word), e) if ctx.bruhat_leq(y, top)]
         assert ends == {ctx.mul(y, tau) for y in below}, ctx.format(x)
 
@@ -1011,7 +1097,7 @@ def test_profiles_only_for_the_w_that_reach_an_end(monkeypatch, spec, class_key,
     batch = eng.prepare_batch(ctx, cls, xs, 6)
     monkeypatch.undo()
     assert batch.words
-    _walls, ends = eng.fold_walls(ctx, batch.tree)
+    _walls, ends, _reach = eng.fold_walls(ctx, batch.tree)
     kept = ctx.sweep
     if batch.allowed is None:
         every = [u for u, n in kept.ball.items() if n <= 6]
