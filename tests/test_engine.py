@@ -809,8 +809,8 @@ def test_coset_groups_match_sweep_groups(spec, key, cutoff):
     b, p, _corr2 = eng.class_data(ctx, cls)
     omegas = frozenset(eng.omega_window(ctx, cls, [b]))
     xs = survey_elements(ctx, cls, 3)
-    walls, _ends, _reach = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
-                                                             for x in xs}))
+    walls, _ends, _reach = eng.fold_walls(
+        ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x) for x in xs}))
     every = {ctx.conj_inv(w, b) for w in eng.sweep_elements(ctx, cutoff, omegas)}
     for levels in (walls, [[] for _ in walls]):
         coset = eng.coset_groups(ctx, b, p, levels, every, cutoff, omegas)
@@ -882,8 +882,8 @@ def test_wall_key_fixes_the_fold(spec, class_key, max_len, cutoff):
     cls = parse_class_key(ctx, class_key)
     xs = random.Random(7).sample(survey_elements(ctx, cls, max_len), 6)
     b, p, _corr2 = eng.class_data(ctx, cls)
-    walls, _ends, _reach = eng.fold_walls(ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x)
-                                                             for x in xs}))
+    walls, _ends, _reach = eng.fold_walls(
+        ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x) for x in xs}))
     ws = eng.sweep_elements(ctx, cutoff, eng.omega_window(ctx, cls, xs + [b]))
     groups = {}
     for w in ws:
