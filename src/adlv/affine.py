@@ -38,9 +38,9 @@ class AffineWeyl:
     All operations are pure; the interning and memo tables are the only
     mutable state and are only ever extended (insert-if-absent under the
     interpreter lock), and contexts are cheap to fork into worker
-    processes.  The kept sweep is the exception: engine.kept_sweep and
-    engine.kept_ball grow it in place, reordering its lists when a new tau
-    is merged in, so two threads must not sweep one context at once.
+    processes.  The kept sweep is extended in place too: engine.kept_ball
+    appends to its ball and engine.ball_groups to its conjugate tables, so
+    two threads must not sweep one context at once.
     """
 
     def __init__(self, datum: RootDatum):
@@ -62,27 +62,11 @@ class AffineWeyl:
         # memo of the classes of sigma.classify and sigma.class_from_invariants:
         # (Newton point, kappa) -> class
         self.classes: dict[tuple, object] = {}
-        # the one sweep engine.kept_sweep keeps, over the union of the Omega
-        # sets and the largest cutoff asked so far: None, or an engine.Sweep
-        # (cutoff, frozenset of omegas, sweep, and per position the length,
-        # the tau and the central class id of w; then the class count, the
-        # conjugate tables w^{-1} b w by the element id of b, the ball of W_a
-        # with its depth, which engine.kept_ball may grow ahead of the
-        # products, and what growth reads).  Growth extends its lists and
-        # tables in place, keeping every class id and filled entry, and
-        # replaces the record
+        # the kept sweep: None, or an engine.Sweep (the ball of W_a with its
+        # depth, and the conjugate tables u^{-1} b u over the ball positions
+        # by the element id of b), grown in place by engine.kept_ball and
+        # engine.ball_groups, which keep every ball position and filled entry
         self.sweep: tuple | None = None
-        # for central_class: the central cocharacters are none, or Z z for
-        # one z with a coordinate z[i] = +-1 (GL_n: z = (1,..,1)); kept as
-        # (z, i)
-        self._centre = None
-        cent = datum.central_cocharacters
-        if cent:
-            units = [i for i, v in enumerate(cent[0]) if abs(v) == 1]
-            if len(cent) > 1 or not units:
-                raise NotImplementedError("central cocharacters other than Z z "
-                                          "with a unit coordinate")
-            self._centre = (cent[0], units[0])
         self.identity = self.intern((0,) * datum.d, 0)
         # affine generators: index 0 = affine node, 1..r = finite simples
         gens = [self.intern(datum.coroots[datum.theta_idx],
@@ -263,21 +247,6 @@ class AffineWeyl:
         if tau is not None:
             out = self.mul(out, tau)
         return out
-
-    def central_class(self, xid: int):
-        """
-        A key that x shares with the x * t^z for z a central cocharacter,
-        and with no other element; x itself when the datum has none.  Such
-        t^z is central in W~, and <beta, z> = 0 for every root beta, so x
-        and x * t^z have one finite part and one k(beta, x^{-1}.a) per beta.
-        """
-        if self._centre is None:
-            return xid
-        z, i = self._centre
-        lam, w = self._elts[xid]
-        # the translate of x with coordinate i of its translation part 0
-        k = lam[i] * z[i]
-        return tuple(a - k * b for a, b in zip(lam, z)), w
 
     def omega_class(self, xid: int):
         """eta_G(x): the connected component of x in the loop group."""

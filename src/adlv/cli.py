@@ -52,7 +52,7 @@ from . import sigma as sg
 from .affine import affine_context
 from .alcoves import eta1, eta2, is_shrunken
 from .cache import CacheStore, cache_key
-from .roots import build_root_datum, semistandard_parabolics
+from .roots import build_root_datum, semistandard_parabolics, standard_parabolic
 
 SCHEMA_VERSION = 1
 
@@ -292,10 +292,14 @@ def _is_any_proper_p_alcove(ctx, xid):
 
 
 def survey_elements(ctx, cls, max_len):
-    """All x with ell <= max_len in the component of the class, sorted."""
-    om = eng.omega_window(ctx, cls, [sg.standard_representative(ctx, cls)])
-    return [x for x in eng.sweep_elements(ctx, max_len, om)
-            if ctx.omega_class(x) == cls.kappa]
+    """
+    All x with ell <= max_len in the component of the class, sorted: the u *
+    tau over the ball of W_a, for the one tau of Omega_G with eta_G(tau) =
+    kappa of the class.
+    """
+    datum = ctx.datum
+    tau = ctx.omega_element(standard_parabolic(datum, frozenset(datum.simple_idx)), cls.kappa)
+    return eng.sweep_elements(ctx, max_len, [tau])
 
 
 # (ctx, batch) of the survey whose forked workers are running, batch from
@@ -379,7 +383,7 @@ def survey_results(ctx, cls, max_len, cutoff, store, jobs):
     the cutoff defaults to max_len + 2h (h the Coxeter number), the records
     come from the store when it holds them and go into it when computed.
     With jobs > 1 this process prepares the uncached x once
-    (engine.prepare_batch: the certificates, the kept sweep and its wall
+    (engine.prepare_batch: the certificates, the kept ball and its wall
     groups) and turns the certified ones into JSON; forked workers then
     split only the walk of the others, each turning its own into JSON.
     """
@@ -454,9 +458,12 @@ def cmd_survey(args, out=sys.stdout):
 
 
 def cmd_figure(args, out=sys.stdout):
+    from .figure import drawing_basis, render_svg, render_tsv
     datum = _datum(args)
-    if datum.weyl.rank != 2:
-        raise SystemExit("adlv: figures need a rank-2 type (A2, B2, C2, G2)")
+    try:
+        drawing_basis(datum)
+    except ValueError:
+        raise SystemExit("adlv: figures need a rank-2 type (A2, B2, C2, G2)") from None
     ctx = affine_context(datum)
     cls = parse_class_key(ctx, args.class_key)
     store = CacheStore(args.cache_dir)
@@ -474,7 +481,6 @@ def cmd_figure(args, out=sys.stdout):
     with store:
         xs, _, results = survey_results(ctx, cls, args.max_len, args.cutoff, store, 1)
     rows = [(x, results[x]) for x in xs]
-    from .figure import render_svg, render_tsv
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_svg(ctx, rows))
     if args.tsv:

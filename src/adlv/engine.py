@@ -76,71 +76,55 @@ lookup at or below the node can hit it.  On the C2 trivial survey to length
 10 this leaves 1,303 of the 5,033 fold steps and 3,415 of the 44,487
 frontier entries folded, with a peak frontier of 12 entries instead of 38.
 
-Omega cosets.  W~ = W_a x| Omega_G is the disjoint union of the cosets
-Omega_G * u, one per u of W_a: u' * tau = tau * (tau^{-1} u' tau), and
-tau^{-1} u' tau lies in W_a with the length of u'.  So every w = u' * tau of
-a sweep over all of Omega_G lies in exactly one coset Omega_G * u with
-ell(u) = ell(u'), and the cosets of the u of the ball up to the cutoff are
-exactly that sweep.  Omega_G stabilizes the base alcove, so (omega * w)^{-1}.a
-= w^{-1}.a, and for P = G the profile reads w only through k(beta, w^{-1}.a):
-all elements of a coset have one length, one profile and one wall key.
-When b commutes with every omega, (omega w)^{-1} b (omega w) = w^{-1} b w, so
-they have one lookup key as well.  For a basic class of a datum with finite
-Lambda_G all of this holds (P = G, and b lies in Omega_G, which is abelian),
-and prepare_batch checks it with AffineWeyl.mul before it relies on it.
-The w with a given wall key and w^{-1} b w are then the cosets of the u
-with that key and u^{-1} b u, so the first such w in (length, text) order
-is the text-least omega * u over the u of least length among them: the
-members, and so the ties and the witnesses, are those of the full sweep.
-So such a batch sweeps the ball of W_a alone, with one profile, wall key
-and u^{-1} b u per coset, and multiplies out and formats only its members.
-Non-basic classes (P != G, where omega moves R_N) and GL_n (infinite
-Lambda_G, per-x windows) keep the full sweep.
+Twists.  W~ = W_a x| Omega_G, so every w of a sweep over u' * tau, ell(u')
+<= cutoff and tau in an Omega set, is tau * u for the one tau of its
+component and u = tau^{-1} u' tau in W_a, of the length of u', and each tau
+* u with ell(u) <= cutoff comes from one u'.  tau stabilizes the base alcove,
+so (tau u)^{-1}.a = u^{-1}.a, and the finite part of tau u moves a root beta
+into R_N iff the finite part of u moves it into the R_N of P_tau = tau^{-1}
+P tau.  So the profile of tau * u under P is the profile of u under P_tau,
+and (tau u)^{-1} b (tau u) = u^{-1} b_tau u with b_tau = tau^{-1} b tau: the
+length, the profile, the wall key and the lookup key of w depend on tau
+only through the pair (P_tau, b_tau), and the profile reads P_tau only
+through R_N and its opposite.  So prepare_batch buckets the tau by that
+pair, and each bucket walks the ball of W_a once (ball_groups).  For a
+basic class of a datum with finite Lambda_G (P = G, b in the abelian group
+Omega_G) there is one bucket; for GL_n tau and tau * t^(k,..,k), a central
+translate, have one pair, so there are at most n.  The w with a given wall
+key and lookup key (w^{-1} b w, with tau where the x accept w by tau) are
+then the tau * u over the buckets of the u with that key, so the first such
+w in (length, text) order is the text-least tau * u over the u of least
+length among them, over all buckets: the members, and so the ties and the
+witnesses, are those of the full sweep in (length, text) order.  Only the
+members are multiplied out and formatted.
 
-Central translates.  A central cocharacter z, one orthogonal to every root
-(Z(1,..,1) for GL_n, none for the other supported data), gives a central
-element t^z of W~ with <beta, z> = 0 for every root beta.  So w and w * t^z
-have one finite part and one k(beta, w^{-1}.a) for every beta, hence one
-profile m_J and one wall pattern, and w^{-1} b w is the same element for
-both.  prepare_batch computes the profile, the wall key and w^{-1} b w once
-per class of w modulo central translations, but still visits every w in
-sweep order, because eta_G(w * t^z) moves with z and the acceptance test,
-the positions and the witnesses are per w.  The kept sweep numbers these
-classes once per context: W~ = W_a x| Omega and t^z lies in Omega, so the
-class of w = u * tau is the pair (u, central class of tau), and
-AffineWeyl.central_class runs once per tau and growth.
-
-Conjugate tables.  None of the per-w data of a sweep depends on x: the tau
-of w = u * tau, its central class, and for a class representative b the
-element w^{-1} b w that the stratum of w reads.  So the context keeps them
-with its sweep (kept_sweep): tau and the class id per sweep position, and
-per b a conjugate table over the class ids, read by every later query or
-survey of that class on the context; the Omega-coset path makes none.
-prepare_batch fills an entry as it first meets the class, through one affine
-map per finite part u of w (AffineWeyl.conj_inv_map): for w = (lam, u),
-w^{-1} b w is A_u lam + c_u with the finite part u^{-1} v u.  A central b (AffineWeyl.is_central: the
-trivial class, and GL_n classes with central Newton point) has w^{-1} b w =
-b for every w, so its table is created filled with b.  Growing the sweep
-keeps every class id and every filled entry, and extends the tables with
-unfilled entries, or with b for a central b.  prepare_batch reads or fills
-the entry of w before anything else of w, and drops w when the entry is no
-end of the batch (see Wall patterns): no profile, no wall key, no group
-entry.  For a central b every entry is b, so the one test b in ends keeps
-or drops the whole sweep of the batch.  Two more per-w steps go by
-tau alone: x = word * tau meets w^{-1} b w where the word's frontier holds
-w^{-1} b w tau^{-1}, so walk_batch moves tau onto the frontier once per
-class at the node of x, {y * tau}, and looks w^{-1} b w up in it; and for
-infinite Lambda_G it tests eta_G(w) against the window of x by tau, since
-eta_G(u * tau) = eta_G(tau) and eta_G is injective on Omega.
+Conjugate tables.  u^{-1} b_tau u does not depend on x, so the context keeps
+it (kept_ball): per b_tau an array over the positions of the kept ball,
+-1 where not filled yet, read by every later query or survey of a class
+with that twisted representative.  ball_groups fills an entry as it first
+meets u, through one affine map per finite part f of u
+(AffineWeyl.conj_inv_map): for u = (lam, f), u^{-1} b_tau u is A_f lam + c_f
+with the finite part f^{-1} v f.  The ball only grows by appending, so
+growth extends the arrays with -1 and keeps every filled entry.  A central
+b_tau (AffineWeyl.is_central: the trivial class, and GL_n classes with
+central Newton point) has u^{-1} b_tau u = b_tau for every u, so it gets no
+table, and the one test b_tau in ends keeps or drops its whole bucket.
+ball_groups reads or fills the entry of u before anything else of u, and
+drops u when the entry is no end of the batch (see Wall patterns): no
+profile, no wall key, no group entry.  Two more per-w steps go by tau alone:
+x = word * tau meets w^{-1} b w where the word's frontier holds w^{-1} b w
+tau^{-1}, so walk_batch moves tau onto the frontier once per class at the
+node of x, {y * tau}, and looks w^{-1} b w up in it; and for infinite
+Lambda_G it tests eta_G(w) against the window of x by tau, since eta_G(tau *
+u) = eta_G(tau) and eta_G is injective on Omega.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 from .affine import AffineWeyl
@@ -408,35 +392,16 @@ def omega_window(ctx: AffineWeyl, cls: SigmaConjClass | None, xids) -> list:
 
 class Sweep(NamedTuple):
     """
-    The sweep a context keeps (AffineWeyl.sweep): every w = u * tau with
-    ell(u) <= cutoff and tau in union, sorted by (length, text), and per
-    sweep position the length, the tau and the central class id of w.  The
-    class ids number the classes of w modulo central translations once per
-    context, so growth keeps every id; without central cocharacters every w
-    is its own class.  conj_tables maps the element id of a class
-    representative b to its conjugate table, an array over class ids holding
-    w^{-1} b w, -1 where not filled yet; it is created, and extended by
-    growth, with b for a central b and with -1 for any other.
-
-    ball maps each u of W_a with ell(u) <= depth to ell(u), in length order.
-    It grows on its own (kept_ball), so it may reach deeper than the
-    products: the Omega-coset path of prepare_batch reads only the ball.
-    For growth the sweep also keeps the text of w per position, and per
-    central class of tau the class ids over the u of the ball with ell(u)
-    <= cutoff.
+    What a context keeps of the sweep (AffineWeyl.sweep).  ball maps each u
+    of W_a with ell(u) <= depth to ell(u), in length order; it grows on its
+    own (kept_ball) and only by appending.  conj_tables maps the element id
+    of a twisted representative b_tau to its conjugate table, an array over
+    the ball positions holding u^{-1} b_tau u, -1 where not filled yet
+    (Conjugate tables in the module docstring).
     """
-    cutoff: int
-    union: frozenset
-    ws: list
-    lengths: list
-    taus: list
-    classes: array
-    nclasses: int
-    conj_tables: dict
     ball: dict
     depth: int
-    texts: list
-    tau_ids: dict
+    conj_tables: dict
 
 
 def kept_ball(ctx: AffineWeyl, max_len: int) -> Sweep:
@@ -445,13 +410,12 @@ def kept_ball(ctx: AffineWeyl, max_len: int) -> Sweep:
     does not reach max_len.  The ball grows from its deepest shell by the
     ascents u * s_i of AffineWeyl.ascends, each one longer than u, so no
     u * s_i is measured and no descent is multiplied out; it grows breadth
-    first (roots.closure), so it stays in length order.  The products are
-    left as they are.
+    first (roots.closure), so it stays in length order and every kept u
+    keeps its position.
     """
     kept = ctx.sweep
     if kept is None:
-        kept = ctx.sweep = Sweep(0, frozenset(), [], [], [], array("q"), 0, {},
-                                 {ctx.identity: 0}, 0, [], {})
+        kept = ctx.sweep = Sweep({ctx.identity: 0}, 0, {})
     if max_len <= kept.depth:
         return kept
     ball = kept.ball
@@ -470,84 +434,24 @@ def kept_ball(ctx: AffineWeyl, max_len: int) -> Sweep:
     return kept
 
 
-def kept_sweep(ctx: AffineWeyl, max_len: int, omegas: frozenset) -> Sweep:
-    """
-    The context's kept sweep, grown in place first when it does not cover
-    max_len and omegas, to the larger cutoff and the union of the Omega
-    sets.  The ball is grown first (kept_ball), and the new products are
-    those of the u of the ball with cutoff < ell(u) <= the new cutoff, as
-    the ball may already reach deeper; the new u * tau are longer than
-    every kept w, so they go after them.  New tau are merged into the
-    (length, text) order.  ell(u * tau) = ell(u), and each position keeps
-    its text, so no kept w is formatted or measured again; the class ids and
-    the filled table entries stay.
-    """
-    kept = kept_ball(ctx, max_len)
-    if max_len <= kept.cutoff and omegas <= kept.union:
-        return kept
-    cutoff, union = max(max_len, kept.cutoff), omegas | kept.union
-    tau_ids, nclasses = kept.tau_ids, kept.nclasses
-    # the u of the ball up to the cutoff; the first old of them, up to the
-    # kept cutoff, have their products already
-    us = []
-    for item in kept.ball.items():
-        if item[1] > cutoff:
-            break
-        us.append(item)
-    old = bisect_right(us, kept.cutoff, key=itemgetter(1))
-    # W~ = W_a x| Omega and a central t^z lies in Omega, so the central
-    # class of w = u * tau is the pair (u, central class of tau)
-    for ids in tau_ids.values():
-        ids.extend(range(nclasses, nclasses + len(us) - old))
-        nclasses += len(us) - old
-    # new u go after every kept w; a new tau is merged in from the first
-    # shell on, so the kept positions before start stay
-    columns = (kept.lengths, kept.texts, kept.ws, kept.taus, kept.classes)
-    start = 0 if union > kept.union else len(kept.ws)
-    tail = [col[start:] for col in columns]
-    lengths, texts, ws, taus, classes = tail
-    for tau in union:
-        tc = ctx.central_class(tau)
-        ids = tau_ids.get(tc)
-        if ids is None:
-            ids = tau_ids[tc] = array("q", range(nclasses, nclasses + len(us)))
-            nclasses += len(us)
-        for iu in range(old if tau in kept.union else 0, len(us)):
-            u, n = us[iu]
-            lengths.append(n)
-            ws.append(ctx.mul(u, tau))
-            taus.append(tau)
-            classes.append(ids[iu])
-    texts.extend(ctx.format(w) for w in ws[len(texts):])
-    # by (length, text): a stable sort by length of the sort by text
-    order = sorted(range(len(ws)), key=texts.__getitem__)
-    order.sort(key=lengths.__getitem__)
-    for col, values in zip(columns, tail):
-        del col[start:]
-        col.extend(values[i] for i in order)
-    for b, table in kept.conj_tables.items():
-        table.extend(array("q", [b if ctx.is_central(b) else -1]) * (nclasses - len(table)))
-    kept = ctx.sweep = kept._replace(cutoff=cutoff, union=union, nclasses=nclasses)
-    return kept
-
-
 def sweep_elements(ctx: AffineWeyl, max_len: int, omegas) -> list:
     """
-    All w = u * tau, ell(u) <= max_len, tau in omegas, sorted by (length,
-    text), as a new list.  The sort puts length first and ell(u * tau) =
-    ell(u), so the sweep for a cutoff is a prefix of the sweep for any
-    larger one, and the sweep over a subset of the Omega set is the
-    subsequence of the w whose tau lies in it (tau is determined by w).  So
-    the context keeps one sweep (kept_sweep), over the union of the Omega
-    sets and the largest cutoff asked so far, and this cuts a prefix of it,
-    filtered by tau when omegas is a proper subset.
+    All w = u * tau, u in W_a with ell(u) <= max_len, tau in omegas, sorted
+    by (length, text), as a new list: the products over the kept ball
+    (kept_ball), made afresh by each call.  ell(u * tau) = ell(u) and the
+    sort puts length first, so the sweep for a cutoff is a prefix of the
+    sweep for any larger one.
     """
-    key = frozenset(omegas)
-    kept = kept_sweep(ctx, max_len, key)
-    end = bisect_right(kept.lengths, max_len)
-    if key == kept.union:
-        return kept.ws[:end]
-    return [w for w, tau in zip(kept.ws[:end], kept.taus) if tau in key]
+    omegas = frozenset(omegas)
+    found = []
+    for u, n in kept_ball(ctx, max_len).ball.items():
+        if n > max_len:
+            break
+        for tau in omegas:
+            w = ctx.mul(u, tau)
+            found.append((n, ctx.format(w), w))
+    found.sort()
+    return [w for _n, _text, w in found]
 
 
 def class_data(ctx: AffineWeyl, cls: SigmaConjClass):
@@ -721,14 +625,13 @@ class Batch(NamedTuple):
     the others, the pending x, in input order.  The rest serves the walk:
     corr2 of class_data, the Omega window of each x (allowed, None for
     finite Lambda_G), the prefix tree of all pending words and the reach
-    set of each of its nodes (fold_walls), index[beta]
-    mapping each level j of walls[beta] to its place, and the wall groups of
-    the w whose w^{-1} b w is an end of the batch (fold_walls): columns[beta]
-    the wall_key[beta] of each group, the profile of one w of it, and its
-    members, as indices into records.  records holds one (w, w^{-1} b w,
-    tau) per member, w = u * tau, in the (length, text) order of w, so a
-    lower index is an earlier w of the sweep.  The walk reads no kept sweep
-    and no conjugate table.
+    set of each of its nodes (fold_walls), index[beta] mapping each level j
+    of walls[beta] to its place, and the wall groups of ball_groups:
+    columns[beta] the wall_key[beta] of each group, the profile of one w of
+    it, and its members, as indices into records.  records holds one (w,
+    w^{-1} b w, tau) per member, w = tau * u, in the (length, text) order of
+    w, so a lower index is an earlier w of the sweep.  The walk reads no
+    kept ball and no conjugate table.
     With no pending x the fields after words are None.
     """
     cutoff: int
@@ -782,15 +685,14 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     (infinite Lambda_G): two members with one key pass every test alike and
     the later one loses every tie.
 
-    The groups come from one of two sweeps, with one result.  A batch whose
-    strata Omega_G fixes (Lambda_G finite, the class basic, so P = G, and b
-    commuting with every omega of Omega_G, tested by AffineWeyl.mul) sweeps
-    one u of W_a per coset Omega_G * u (coset_groups, and Omega cosets in
-    the module docstring); any other sweeps the kept sweep (sweep_groups).
+    The groups come from one walk of the ball of W_a per twist pair
+    (ball_groups, and Twists in the module docstring), for every class and
+    datum alike.
 
     w^{-1} b w is computed first, and w is skipped, with no profile, wall
     key or group entry, when it is no end of the batch (fold_walls); for a
-    central b one test b in ends decides every w at once.  That is exact:
+    central b one test b in ends decides every w of a twist pair at once.
+    That is exact:
     - a skipped w can never give a hit: its w^{-1} b w is in no frontier of
       any x once tau is on it;
     - a group's profile may be that of any of its w, as all w with one key
@@ -813,7 +715,7 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
     if not words:
         return Batch(cutoff, certified, words)
     b, p, corr2 = class_data(ctx, cls)
-    # for finite Lambda_G every x sweeps all of Omega_G, and each w = u * tau
+    # for finite Lambda_G every x sweeps all of Omega_G, and each w = tau * u
     # has eta_G(w) = eta_G(tau), so every w is allowed; else x allows the w
     # whose tau lies in its window, as eta_G is injective on Omega
     allowed = None
@@ -824,11 +726,7 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
         omegas = frozenset().union(*allowed.values())
     tree = prefix_tree(ctx, words)
     walls, ends, reach = fold_walls(ctx, tree)
-    if allowed is None and p.is_full and \
-            all(ctx.mul(b, om) == ctx.mul(om, b) for om in omegas):
-        groups, records = coset_groups(ctx, b, p, walls, ends, cutoff, omegas)
-    else:
-        groups, records = sweep_groups(ctx, b, p, walls, ends, cutoff, omegas, allowed)
+    groups, records = ball_groups(ctx, b, p, walls, ends, cutoff, omegas, allowed)
     # the test j >= profile[beta] at the wall {beta = j} passes iff
     # wall_key[beta] <= index[beta][j], the index of j in walls[beta]
     index = [{j: i for i, j in enumerate(levels)} for levels in walls]
@@ -837,122 +735,96 @@ def prepare_batch(ctx: AffineWeyl, cls: SigmaConjClass, xids, cutoff: int) -> Ba
                  [members for _, members in groups.values()], records)
 
 
-def sweep_groups(ctx: AffineWeyl, b: int, p: SemistdParabolic, walls: list, ends: set,
-                 cutoff: int, omegas: frozenset, allowed: dict | None):
+def ball_groups(ctx: AffineWeyl, b: int, p: SemistdParabolic, walls: list, ends: set,
+                cutoff: int, omegas: frozenset, allowed: dict | None):
     """
-    The wall groups of prepare_batch over the kept sweep, grown to the
-    cutoff and omegas: ({wall key: (profile, member indices)}, records).
-    The profile and the wall key of w are computed once per central class of
-    w per call; w^{-1} b w once per central class and context, in the
-    conjugate table of b on the kept sweep (see the module docstring), read
-    or filled before anything else of w.  The members of a group are the
-    first sweep positions of its lookup keys, and the kept positions are
-    numbered in sweep order.
-    """
-    kept = kept_sweep(ctx, cutoff, omegas)
-    ws, taus, classes = kept.ws, kept.taus, kept.classes
-    # w^{-1} b w = b for every w when b is central: one test b in ends
-    prune = not ctx.is_central(b)
-    conjs = kept.conj_tables.get(b)
-    if conjs is None:
-        conjs = kept.conj_tables[b] = array("q", [-1 if prune else b]) * kept.nclasses
-    # u -> the map lam -> w^{-1} b w on the w = (lam, u), built on first use
-    maps = {}
-    # wall key -> (profile of its first kept w, {lookup key: sweep
-    # position}), in the order of first positions; the key is computed once
-    # per central class, and only the first position of each lookup key is
-    # kept
-    groups: dict[tuple, tuple] = {}
-    class_keys: dict[int, tuple] = {}
-    every = omegas == kept.union
-    stop = bisect_right(kept.lengths, cutoff) if prune or b in ends else 0
-    for pos in range(stop):
-        if not every and taus[pos] not in omegas:
-            continue
-        c = classes[pos]
-        btilde = conjs[c]
-        if btilde < 0:
-            u = ctx.finite(ws[pos])
-            at = maps.get(u)
-            if at is None:
-                at = maps[u] = ctx.conj_inv_map(u, b)
-            btilde = conjs[c] = at(ctx.translation(ws[pos]))
-        if prune and btilde not in ends:
-            continue
-        key = class_keys.get(c)
-        if key is None:
-            profile = orientation_profile(ctx, p, ws[pos])
-            key = class_keys[c] = wall_key(walls, profile)
-            if key not in groups:
-                groups[key] = (profile, {})
-        groups[key][1].setdefault(btilde if allowed is None else (btilde, taus[pos]), pos)
-    firsts = sorted(pos for _, got in groups.values() for pos in got.values())
-    number = {pos: i for i, pos in enumerate(firsts)}
-    records = [(ws[pos], conjs[classes[pos]], taus[pos]) for pos in firsts]
-    return ({key: (profile, [number[pos] for pos in got.values()])
-             for key, (profile, got) in groups.items()}, records)
-
-
-def coset_groups(ctx: AffineWeyl, b: int, p: SemistdParabolic, walls: list, ends: set,
-                 cutoff: int, omegas: frozenset):
-    """
-    The wall groups of prepare_batch for a batch whose strata Omega_G fixes,
-    as sweep_groups gives them, from one u of W_a per coset Omega_G * u.  It
-    reads the ball of the kept sweep, grown to the cutoff (kept_ball), and
-    makes no product u * tau and no conjugate table.  For each u of the ball
-    up to the cutoff it computes u^{-1} b u, through one affine map per
-    finite part (AffineWeyl.conj_inv_map), and skips u when that is no end;
-    else it computes the profile and the wall key of u, and keeps, per (wall
-    key, u^{-1} b u), the u of least length.  The member is the text-least
-    omega * u over those u and all omega of Omega_G: the first w in (length,
-    text) order with that wall key and w^{-1} b w, since every w of the
-    sweep lies in the coset of one u of its length and shares the wall key
-    and w^{-1} b w of that u (see Omega cosets in the module docstring).
-    Only the members are multiplied out and formatted.
+    The wall groups of prepare_batch, ({wall key: (profile, member
+    indices)}, records), from the ball of W_a grown to the cutoff
+    (kept_ball).  The w of the sweep are the tau * u, tau in omegas and u in
+    the ball, and tau * u has the profile of u under P_tau = tau^{-1} P tau
+    and w^{-1} b w = u^{-1} b_tau u, b_tau = tau^{-1} b tau (Twists in the
+    module docstring).  So the tau are bucketed by (R_N of P_tau, its
+    opposite, b_tau), all that the profile and the conjugate read, and each
+    bucket walks the ball up to the cutoff once.  For each u it reads or
+    fills u^{-1} b_tau u in the conjugate table of b_tau, and skips u when
+    that is no end; for a central b_tau one test b_tau in ends decides the
+    whole bucket.  Else it computes the profile and the wall key of u, and
+    keeps, per wall key and lookup key, the tied u of least length over all
+    buckets, with their tau; the lookup key is u^{-1} b_tau u, with tau when
+    each x accepts w by tau (allowed, infinite Lambda_G).  The member is the
+    text-least tau * u over those ties: the first w in (length, text) order
+    with that wall key and lookup key.  Only the members are multiplied out
+    and formatted.
     """
     kept = kept_ball(ctx, cutoff)
-    prune = not ctx.is_central(b)
-    maps = {}
-    # wall key -> (profile of its first u, {u^{-1} b u: (ell(u), [the u of
-    # that key and u^{-1} b u with that length])})
+    ball, tables = kept.ball, kept.conj_tables
+    weyl = ctx.datum.weyl
+    # (R_N, R_Nbar, b_tau) -> (P_tau, its tau); P_tau once per finite part,
+    # and tau^{-1} G tau = G is not built again
+    parabolics: dict[int, SemistdParabolic] = {}
+    buckets: dict[tuple, tuple] = {}
+    for tau in omegas:
+        f = ctx.finite(tau)
+        p_tau = parabolics.get(f)
+        if p_tau is None:
+            p_tau = parabolics[f] = p if p.is_full else conj_parabolic(p, weyl.inv[f])
+        bucket = (p_tau.r_n, p_tau.r_nbar, ctx.conj_inv(tau, b))
+        buckets.setdefault(bucket, (p_tau, []))[1].append(tau)
+    # wall key -> (profile of its first u, {lookup key: (ell(u), [(u, the
+    # tau of its bucket that the lookup takes)] of least length)}), the
+    # lookup key (u^{-1} b_tau u,), or (u^{-1} b_tau u, tau) for allowed
     groups: dict[tuple, tuple] = {}
-    if prune or b in ends:
-        for u, n in kept.ball.items():
+    for (_r_n, _r_nbar, b_tau), (p_tau, taus) in buckets.items():
+        central = ctx.is_central(b_tau)
+        if central and b_tau not in ends:
+            continue
+        if not central:
+            table = tables.get(b_tau)
+            if table is None:
+                table = tables[b_tau] = array("q")
+            table.extend(array("q", [-1]) * (len(ball) - len(table)))
+            maps = {}
+        lookups = [((), tuple(taus))] if allowed is None else [((tau,), (tau,)) for tau in taus]
+        for pos, (u, n) in enumerate(ball.items()):
             if n > cutoff:
                 break
-            btilde = b
-            if prune:
-                f = ctx.finite(u)
-                at = maps.get(f)
-                if at is None:
-                    at = maps[f] = ctx.conj_inv_map(f, b)
-                btilde = at(ctx.translation(u))
+            btilde = b_tau
+            if not central:
+                btilde = table[pos]
+                if btilde < 0:
+                    f = ctx.finite(u)
+                    at = maps.get(f)
+                    if at is None:
+                        at = maps[f] = ctx.conj_inv_map(f, b_tau)
+                    btilde = table[pos] = at(ctx.translation(u))
                 if btilde not in ends:
                     continue
-            profile = orientation_profile(ctx, p, u)
+            profile = orientation_profile(ctx, p_tau, u)
             key = wall_key(walls, profile)
             got = groups.get(key)
             if got is None:
                 got = groups[key] = (profile, {})
-            least = got[1].get(btilde)
-            if least is None:
-                got[1][btilde] = (n, [u])
-            elif least[0] == n:
-                least[1].append(u)
+            for suffix, ties in lookups:
+                look = (btilde, *suffix)
+                least = got[1].get(look)
+                if least is None or least[0] > n:
+                    got[1][look] = (n, [(u, ties)])
+                elif least[0] == n:
+                    least[1].append((u, ties))
     # (ell(w), text of w, w, w^{-1} b w, tau, wall key) per member; no two
     # members have one text
     found = []
     for key, (_profile, least) in groups.items():
-        for btilde, (n, us) in least.items():
-            text, w, om = min((ctx.format(w), w, om) for u in us for om in omegas
-                              for w in (ctx.mul(om, u),))
-            found.append((n, text, w, btilde, om, key))
+        for look, (n, ties) in least.items():
+            text, w, tau = min((ctx.format(w), w, tau) for u, taus in ties for tau in taus
+                               for w in (ctx.mul(tau, u),))
+            found.append((n, text, w, look[0], tau, key))
     found.sort()
     members = {key: [] for key in groups}
     records = []
-    for _n, _text, w, btilde, om, key in found:
+    for _n, _text, w, btilde, tau, key in found:
         members[key].append(len(records))
-        records.append((w, btilde, om))
+        records.append((w, btilde, tau))
     return {key: (profile, members[key]) for key, (profile, _) in groups.items()}, records
 
 
@@ -966,7 +838,7 @@ def walk_batch(ctx: AffineWeyl, batch: Batch, xids=None) -> dict:
     partition; and between equal strata the lowest member index, the first
     w of the sweep, still wins.  So a result does not depend on how the
     pending x are split.  The walk reads only the batch: its members are
-    records (w, w^{-1} b w, tau), so it reads no kept sweep and no
+    records (w, w^{-1} b w, tau), so it reads no kept ball and no
     conjugate table.
 
     One depth-first walk of the prefix tree refines a partition of the

@@ -19,8 +19,13 @@ from .affine import AffineWeyl
 
 
 def drawing_basis(datum):
-    """A rational 2D basis of the apartment plane, plus its Gram matrix."""
+    """
+    A rational 2D basis of the apartment plane, plus its Gram matrix;
+    ValueError when the apartment of the datum is no plane.
+    """
     d = datum.d
+    if datum.weyl.rank != 2:
+        raise ValueError("rank-2 drawing only")
     if datum.central is not None:
         bas = []
         for i in range(2):
@@ -85,8 +90,6 @@ def render_svg(ctx: AffineWeyl, records, size: int = 900) -> str:
     AdlvResult.to_json record.  Returns the SVG document as a string.
     """
     datum = ctx.datum
-    if datum.weyl.rank != 2:
-        raise ValueError("figures are rank-2 only")
     bas, gram = drawing_basis(datum)
     E = embed(gram)
     verts = datum.base_alcove_vertices()

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .snf import LatticeQuotient, integer_kernel, solve_frac
+from .snf import LatticeQuotient, solve_frac
 
 WEYL_ORDERS = {"A": lambda n: _fact(n + 1), "B": lambda n: 2 ** n * _fact(n),
                "C": lambda n: 2 ** n * _fact(n), "D": lambda n: 2 ** (n - 1) * _fact(n),
@@ -216,12 +216,6 @@ class RootDatum:
                                f"expected {expected}")
         self.two_rho = tuple(sum(self.roots[i][j] for i in range(self.nposroots))
                              for j in range(self.d))
-        # a basis of the central cocharacters, those orthogonal to every
-        # root: Z(1,..,1) for GL_n and none for the other data (in the type A
-        # lattice Z^n / Z(1,..,1) the diagonal is zero)
-        simple_cols = [[self.roots[i][j] for i in self.simple_idx] for j in range(self.d)]
-        self.central_cocharacters = tuple(
-            tuple(v) for v in integer_kernel(simple_cols) if any(self.coweight_nf(v)))
         self._lambda_cache: dict[frozenset, LatticeQuotient] = {}
         self.lambda_g = self.levi_lattice_quotient(frozenset(range(len(self.roots))))
         # coordinates of the positive roots in the basis of simple roots

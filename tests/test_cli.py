@@ -209,6 +209,64 @@ def test_figure_rejects_higher_rank(tmp_path):
                  "--out", str(tmp_path / "x.svg")])
 
 
+def test_figure_rejects_gl3_before_any_output(tmp_path):
+    # GL3 has a Weyl group of rank 2 but no plane apartment: one adlv: line
+    # and exit 1 before the survey, with no --out or --tsv file made
+    svg, tsv = tmp_path / "x.svg", tmp_path / "x.tsv"
+    proc = run_cli_process(["figure", "--type", "GL", "--rank", "3", "--class-key",
+                            "trivial", "--max-len", "2", "--out", str(svg),
+                            "--tsv", str(tsv)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines == ["adlv: figures need a rank-2 type (A2, B2, C2, G2)"], proc.stderr
+    assert not svg.exists() and not tsv.exists()
+
+
+def _window_listing(ctx, cls, max_len):
+    # the x of the class's component over b's Omega window of the sweep
+    om = cli.eng.omega_window(ctx, cls, [cli.sg.standard_representative(ctx, cls)])
+    return [x for x in cli.eng.sweep_elements(ctx, max_len, om)
+            if ctx.omega_class(x) == cls.kappa]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_central_class_survey_lists_its_component(n):
+    # the x of the central class t^(k,..,k) are the x of the trivial class
+    # times t^(k,..,k), with one length, for k = 2 and 3 as for k = 1, even
+    # where kappa lies outside b's Omega window
+    from adlv import affine_context, build_root_datum
+    ctx = affine_context(build_root_datum("GL", n))
+    trivial = cli.survey_elements(ctx, cli.parse_class_key(ctx, "trivial"), 3)
+    assert len(trivial) > 1
+    for k in (1, 2, 3):
+        cls = cli.sg.classify(ctx, ctx.from_translation((k,) * n))
+        got = cli.survey_elements(ctx, cls, 3)
+        assert len(got) == len(trivial)
+        back = ctx.from_translation((-k,) * n)
+        assert {ctx.mul(x, back) for x in got} == set(trivial)
+        assert [ctx.length(x) for x in got] == [ctx.length(x) for x in trivial]
+    code, out = run_cli(["survey", "--type", "GL", "--rank", str(n), "--class-key",
+                         f"nu=[{','.join(['2'] * n)}];kappa=[{','.join(['0'] * (n - 1))},{2 * n}]",
+                         "--max-len", "3", "--jobs", "1"])
+    assert code == 0 and json.loads(out.splitlines()[-1])["summary"]["count"] == len(trivial)
+
+
+@pytest.mark.parametrize("spec,key", [
+    (("C", 2, ""), "trivial"), (("C", 2, ""), "nu=[0,0];kappa=[0,1]"),
+    (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]"), (("A", 2, "SL"), "nu=[1,0,-1];kappa=[0,0,0]"),
+    (("GL", 2, ""), "nu=[1,0];kappa=[0,1]"), (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]"),
+    (("GL", 3, ""), "nu=[1,1,1];kappa=[0,0,3]"), (("GL", 3, ""), "nu=[0,0,-1];kappa=[0,0,-1]"),
+])
+def test_survey_elements_match_the_window_listing(spec, key):
+    # where b's Omega window holds the twist of kappa, the survey lists the
+    # x that the window's sweep, filtered by kappa, lists
+    from adlv import affine_context, build_root_datum
+    ctx = affine_context(build_root_datum(*spec))
+    cls = cli.parse_class_key(ctx, key)
+    want = _window_listing(ctx, cls, 4)
+    assert want and cli.survey_elements(ctx, cls, 4) == want
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "adlv.cli", "survey"],
                           capture_output=True, text=True)
@@ -450,8 +508,8 @@ def test_survey_worker_only_walks(monkeypatch, spec, key):
     def forbidden(*args, **kwargs):
         raise AssertionError("a worker must only walk")
 
-    for name in ("kept_sweep", "kept_ball", "orientation_profile", "wall_key",
-                 "fold_walls", "emptiness_certificate"):
+    for name in ("kept_ball", "sweep_elements", "ball_groups", "orientation_profile",
+                 "wall_key", "fold_walls", "emptiness_certificate"):
         monkeypatch.setattr(cli.eng, name, forbidden)
     monkeypatch.setattr(cli, "_survey_state", (ctx, batch))
     got = {}

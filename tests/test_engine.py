@@ -1,4 +1,4 @@
-import bisect
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -416,9 +416,9 @@ def _reference_sweep(ctx, cutoff, omegas):
 
 
 def test_sweep_elements_kept_prefix():
-    # the context keeps one sweep, over the union of the Omega sets and the
-    # largest cutoff asked; every cut, filtered by tau for a proper subset,
-    # equals an independent build
+    # the context keeps only the ball, to the largest cutoff asked; every
+    # sweep, over all of Omega_G or a proper subset, equals an independent
+    # build, and a caller owns its copy
     ctx = affine_context(RootDatum("C", 2, "adjoint"))
     omega_g = list(ctx.omega_g_elements().values())
     for cutoff in (8, 12, 6, 12):
@@ -426,10 +426,10 @@ def test_sweep_elements_kept_prefix():
             got = eng.sweep_elements(ctx, cutoff, omegas)
             assert got == _reference_sweep(ctx, cutoff, omegas)
             assert max(ctx.length(w) for w in got) == cutoff
-            got.clear()  # a caller owns its copy
-    assert ctx.sweep[:2] == (12, frozenset(omega_g))
-    # GL3: nested Omega windows, a smaller one cut from the kept sweep
-    # without a rebuild, a larger one growing it
+            got.clear()
+    assert ctx.sweep.depth == 12 and ctx.sweep.ball == affine_ball(ctx, 12)
+    # GL3: nested Omega windows; a smaller cutoff leaves the ball as it is,
+    # a larger one grows it, and no window is kept
     ctx = affine_context(RootDatum("GL", 3, ""))
     p_full = full_parabolic(ctx.datum)
 
@@ -437,18 +437,15 @@ def test_sweep_elements_kept_prefix():
         return [ctx.omega_element(p_full, nf)
                 for nf in ctx.datum.lambda_g.window(spread)]
 
-    largest, union = 0, set()
+    largest = 0
     for spread, cutoff in ((4, 6), (2, 4), (6, 5), (3, 7)):
         before = ctx.sweep
-        omegas = window(spread)
-        got = eng.sweep_elements(ctx, cutoff, omegas)
-        assert got == _reference_sweep(ctx, cutoff, omegas)
-        assert (ctx.sweep is before) == (before is not None and cutoff <= before[0]
-                                         and set(omegas) <= before[1])
+        got = eng.sweep_elements(ctx, cutoff, window(spread))
+        assert got == _reference_sweep(ctx, cutoff, window(spread))
+        assert (ctx.sweep is before) == (before is not None and cutoff <= before.depth)
         largest = max(largest, cutoff)
-        union.update(omegas)
-        assert ctx.sweep[:2] == (largest, frozenset(union))
-    assert ctx.sweep[:2] == (7, frozenset(window(6)))
+        assert ctx.sweep.depth == largest
+    assert ctx.sweep.ball == affine_ball(ctx, 7) and not ctx.sweep.conj_tables
 
 
 def _profile_all_roots(ctx, p, w):
@@ -483,31 +480,45 @@ def test_orientation_profile_matches_all_roots_formula(spec):
                 _profile_all_roots(ctx, p, w)[:npos]
 
 
+def _twist(ctx, p, tau, b):
+    # the pair (P_tau, b_tau) = (tau^{-1} P tau, tau^{-1} b tau), by conj
+    # and inv
+    v = ctx.datum.weyl.inv[ctx.finite(tau)]
+    return eng.conj_parabolic(p, v), ctx.conj(ctx.inv(tau), b)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_central_translates_share_profile_and_btilde(n):
+    # GL_n: w and its central translates w * t^(k,..,k) have one profile
+    # under every standard P and one w^{-1} b w; so tau and tau * t^(k,..,k)
+    # have one twist pair, and a window of tau has at most n pairs
     ctx = affine_context(build_root_datum("GL", n))
     datum = ctx.datum
-    assert datum.central_cocharacters == ((1,) * n,)
     z = ctx.from_translation((1,) * n)
+    assert ctx.is_central(z)
     rng = random.Random(n)
     ball = sorted(affine_ball(ctx, 6))
     ws = rng.sample(ball, min(20, len(ball)))
     ws = [ctx.mul(w, ctx.parse(f"tau^{rng.randrange(-3, 4)}")) for w in ws]
     bs = rng.sample(ws, 5)
+    taus = [ctx.parse(f"tau^{k}") for k in range(-2 * n, 2 * n + 1)]
     for r in range(len(datum.simple_idx) + 1):
         for J in itertools.combinations(datum.simple_idx, r):
             p = standard_parabolic(datum, frozenset(J))
             for w in ws:
                 for k in (1, -2):
                     wz = ctx.mul(w, ctx.from_translation((k,) * n))
-                    assert ctx.central_class(wz) == ctx.central_class(w)
                     assert eng.orientation_profile(ctx, p, wz) == \
                         eng.orientation_profile(ctx, p, w)
-    # and central_class tells apart the w that are not central translates
-    for w, v in itertools.combinations(ws, 2):
-        diff = [a - c for a, c in zip(ctx.translation(w), ctx.translation(v))]
-        translate = ctx.finite(w) == ctx.finite(v) and len(set(diff)) == 1
-        assert (ctx.central_class(w) == ctx.central_class(v)) == translate
+            for b in bs:
+                pairs = set()
+                for tau in taus:
+                    p_tau, b_tau = _twist(ctx, p, tau, b)
+                    pairs.add((p_tau.r_n, p_tau.r_nbar, b_tau))
+                    tz = ctx.mul(tau, z)
+                    pz_tau, bz_tau = _twist(ctx, p, tz, b)
+                    assert (pz_tau.r_n, bz_tau) == (p_tau.r_n, b_tau), ctx.format(tau)
+                assert len(pairs) <= n
     for w in ws:
         wz = ctx.mul(w, z)
         assert ctx.omega_class(wz) != ctx.omega_class(w)
@@ -517,44 +528,35 @@ def test_central_translates_share_profile_and_btilde(n):
 
 
 def _check_kept_sweep(ctx):
-    # the per-w data of the kept sweep against the functions it stands for
+    # the kept ball and its conjugate tables against the functions they
+    # stand for; returns the number of filled entries
     kept = ctx.sweep
-    # two positions share a class id iff their w share a central class
-    id_of, class_of = {}, {}
-    for w, c in zip(kept.ws, kept.classes, strict=True):
-        assert 0 <= c < kept.nclasses
-        assert id_of.setdefault(ctx.central_class(w), c) == c, ctx.format(w)
-        assert class_of.setdefault(c, ctx.central_class(w)) == ctx.central_class(w)
-    assert kept.lengths == [ctx.length(w) for w in kept.ws]
-    assert kept.texts == [ctx.format(w) for w in kept.ws]
-    # the ball: every u of W_a up to its depth, at least the cutoff, with
-    # its exact length, in length order
-    assert kept.depth >= kept.cutoff
+    # the ball: every u of W_a up to its depth, with its exact length, in
+    # length order
     assert kept.ball == affine_ball(ctx, kept.depth)
     lengths = list(kept.ball.values())
     assert lengths == sorted(lengths)
-    for w, tau in zip(kept.ws, kept.taus, strict=True):
-        assert tau in kept.union
-        assert ctx.omega_class(w) == ctx.omega_class(tau)
+    us = list(kept.ball)
     filled = 0
     for b, table in kept.conj_tables.items():
-        assert len(table) == kept.nclasses
-        for w, c in zip(kept.ws, kept.classes):
-            if table[c] >= 0:
-                assert table[c] == ctx.conj(ctx.inv(w), b), ctx.format(w)
+        assert not ctx.is_central(b) and len(table) <= len(us)
+        for u, got in zip(us, table):
+            if got >= 0:
+                assert got == ctx.conj(ctx.inv(u), b), ctx.format(u)
                 filled += 1
+            else:
+                assert got == -1
     return filled
 
 
 @pytest.mark.parametrize("spec", [("GL", 3, ""), ("GL", 2, ""), ("A", 2, "SL"),
                                   ("C", 2, "adjoint")])
 def test_conjugate_tables_on_the_kept_sweep(spec):
-    # a scripted run of solve calls over several classes, whose cutoffs and
-    # Omega windows grow so that the sweep is rebuilt between them; the
-    # tables stay exact through it, and the last round, on a context warmed
-    # by the others, agrees with the per-w reference; a new datum gives a
-    # new context.  Two seeds are non-basic, so that two tables are made
-    # where the basic classes take the Omega-coset path, which makes none
+    # a scripted run of solve calls over several classes, whose cutoffs grow
+    # so that the ball grows between them; the ball-indexed tables stay
+    # exact through it and across the classes, and the last round, on a
+    # context warmed by the others, agrees with the per-w reference; a new
+    # datum gives a new context
     ctx = affine_context(RootDatum(*spec))
     datum = ctx.datum
     unit = (1,) + (0,) * (datum.d - 1)
@@ -585,9 +587,9 @@ def test_conjugate_tables_on_the_kept_sweep(spec):
 
 
 def _filled_entries(kept):
-    # {(b, w): w^{-1} b w} over the filled entries of the kept tables
-    return {(b, w): table[c] for b, table in kept.conj_tables.items()
-            for w, c in zip(kept.ws, kept.classes) if table[c] >= 0}
+    # {(b, u): u^{-1} b u} over the filled entries of the kept tables
+    return {(b, u): got for b, table in kept.conj_tables.items()
+            for u, got in zip(kept.ball, table) if got >= 0}
 
 
 @pytest.mark.parametrize("spec,key,grows", [
@@ -595,11 +597,11 @@ def _filled_entries(kept):
     (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", "union"),
 ])
 def test_conjugate_tables_survive_growth(spec, key, grows):
-    # a table entry filled before the kept sweep grows is still there, and
-    # exact, after it, with no solve in between to fill it again, and every
-    # kept w keeps its class id: C2 grows the cutoff, which appends to the
-    # kept order; GL3 grows the Omega union by a wider window, which merges
-    # new tau into it
+    # a table entry filled before the ball grows is still there, and exact,
+    # after it, with no solve in between to fill it again, and every kept u
+    # keeps its ball position: C2 grows the cutoff, which appends to the
+    # ball; GL3 widens the Omega window, whose new tau share their twist
+    # pairs with the old ones, so it makes no table and grows no ball
     ctx = affine_context(RootDatum(*spec))
     cls = parse_class_key(ctx, key)
     xs = [x for x in survey_elements(ctx, cls, 4)
@@ -611,25 +613,23 @@ def test_conjugate_tables_survive_growth(spec, key, grows):
     narrow, wide = min(xs, key=spread), max(xs, key=spread)
     eng.solve(ctx, narrow, cls, 6)
     before = ctx.sweep
-    # the growth extends the kept lists in place, so copy what it must keep
-    ws, ids = list(before.ws), dict(zip(before.ws, before.classes))
+    # growth extends the ball and tables in place, so copy what it must keep
+    us, tables = list(before.ball), set(before.conj_tables)
     filled = _filled_entries(before)
     assert filled
     if grows == "cutoff":
-        kept = eng.kept_sweep(ctx, 9, before.union)
+        kept = eng.kept_ball(ctx, 9)
+        assert kept.depth == 9 and len(kept.ball) > len(us)
     else:
-        kept = eng.kept_sweep(ctx, 6, frozenset(eng.omega_window(ctx, cls, [wide])))
-    assert kept is ctx.sweep
-    assert (kept.cutoff > before.cutoff) == (grows == "cutoff")
-    assert (kept.union > before.union) == (grows == "union")
-    if grows == "cutoff":
-        assert kept.ws[:len(ws)] == ws
-    assert {w: c for w, c in zip(kept.ws, kept.classes) if w in ids} == ids
-    # a new w that shares its class with a kept one finds it filled too
+        assert set(eng.omega_window(ctx, cls, [wide])) > set(eng.omega_window(ctx, cls, [narrow]))
+        eng.solve(ctx, wide, cls, 6)
+        kept = ctx.sweep
+        assert kept is before and set(kept.conj_tables) == tables
+    assert list(kept.ball)[:len(us)] == us
     assert filled.items() <= _filled_entries(kept).items()
     _check_kept_sweep(ctx)
-    # and a solve on the grown sweep fills more, all exact
-    eng.solve(ctx, wide, cls, kept.cutoff)
+    # and a solve on the grown ball fills more, all exact
+    eng.solve(ctx, wide, cls, kept.depth + 1)
     assert len(_filled_entries(ctx.sweep)) > len(filled)
     _check_kept_sweep(ctx)
 
@@ -652,7 +652,8 @@ def test_conj_inv_closed_form(spec):
     unit = (1,) + (0,) * (datum.d - 1)
     translations = [ctx.identity, ctx.from_translation(unit),
                     ctx.from_translation((1, -1) + (0,) * (datum.d - 2))]
-    translations += [ctx.from_translation(z) for z in datum.central_cocharacters]
+    if datum.lambda_g.order() is None:
+        translations.append(ctx.from_translation((1,) * datum.d))
     assert {ctx.is_central(b) for b in translations} == {True, False}
     bs = random.Random(7).sample(ws, 12) + translations
     for b in bs:
@@ -671,54 +672,43 @@ def test_conj_inv_closed_form(spec):
     (("A", 2, "SL"), "trivial"),
     (("GL", 3, ""), "nu=[1,1,1];kappa=[0,0,3]"),
 ])
-def test_central_class_table_is_prefilled(spec, key):
-    # for a central b the table survey_batch creates holds b at every class
-    # id, exact by the kept-sweep check, and growth of the cutoff and of the
-    # Omega set extends it with b, so no entry is ever filled.  The trivial
-    # class of A2 SL takes the Omega-coset path instead: it makes no table,
-    # grows the ball to the cutoff and leaves the products at the length of
-    # the survey
+def test_central_class_makes_no_table(spec, key):
+    # for a central b every twisted representative b_tau is b itself, and
+    # central: survey_batch makes no conjugate table, grows the ball to the
+    # cutoff, gives every member the lookup key b, and every result is the
+    # per-w reference's
     ctx = affine_context(RootDatum(*spec))
     cls = parse_class_key(ctx, key)
     b = eng.class_data(ctx, cls)[0]
     assert ctx.is_central(b)
     xs = survey_elements(ctx, cls, 3)
-    eng.survey_batch(ctx, cls, xs, 5)
-    if ctx.datum.lambda_g.order() is not None:
-        kept = ctx.sweep
-        assert b not in kept.conj_tables and not kept.conj_tables
-        assert kept.cutoff == max(kept.lengths) == 3
-        assert kept.depth == max(kept.ball.values()) == 5
-        _check_kept_sweep(ctx)
-        return
-    table = ctx.sweep.conj_tables[b]
-    assert list(table) == [b] * ctx.sweep.nclasses
-    assert _check_kept_sweep(ctx) == len(ctx.sweep.ws)
-    before = ctx.sweep.nclasses
-    wider = ctx.sweep.union | frozenset(ctx.mul(t, t) for t in ctx.sweep.union)
-    kept = eng.kept_sweep(ctx, 7, wider)
-    assert kept.nclasses > before and kept.conj_tables[b] is table
-    assert list(table) == [b] * kept.nclasses
-    assert _check_kept_sweep(ctx) == len(kept.ws)
+    batch = eng.prepare_batch(ctx, cls, xs, 5)
+    kept = ctx.sweep
+    assert not kept.conj_tables and kept.depth == 5
+    assert batch.records and {btilde for _w, btilde, _tau in batch.records} == {b}
+    _check_kept_sweep(ctx)
+    got = {**batch.certified, **eng.walk_batch(ctx, batch)}
+    for x in xs:
+        assert outcome(got[x]) == reference_solve(ctx, x, cls, 5), ctx.format(x)
 
 
 def test_noncentral_class_table_starts_unfilled():
-    # for a non-central b the table starts at -1 and survey_batch fills the
-    # entries of the w it sweeps: on a sweep kept to length 7, a survey to
-    # cutoff 4 leaves the classes of the longer w unfilled
+    # for a non-central b each table of a b_tau starts at -1 and
+    # survey_batch fills the entries of the u it sweeps: on a ball kept to
+    # length 7, a survey to cutoff 4 leaves the longer u unfilled
     ctx = affine_context(RootDatum("C", 2, "adjoint"))
     cls = sg.classify(ctx, ctx.from_translation((1, 0)))
     b = eng.class_data(ctx, cls)[0]
     assert not ctx.is_central(b)
-    eng.sweep_elements(ctx, 7, eng.omega_window(ctx, cls, [b]))
+    eng.sweep_elements(ctx, 7, [ctx.identity])
     xs = survey_elements(ctx, cls, 4)
     eng.survey_batch(ctx, cls, xs, 4)
     kept = ctx.sweep
-    assert kept.cutoff == 7
-    table = kept.conj_tables[b]
-    end = bisect.bisect_right(kept.lengths, 4)
-    assert all(table[c] >= 0 for c in kept.classes[:end])
-    assert all(table[c] == -1 for c in kept.classes[end:])
+    assert kept.depth == 7 and b in kept.conj_tables
+    for table in kept.conj_tables.values():
+        assert len(table) == len(kept.ball)
+        for got, n in zip(table, kept.ball.values()):
+            assert (got >= 0) == (n <= 4)
     _check_kept_sweep(ctx)
 
 
@@ -749,47 +739,80 @@ def test_grouped_lookups_match_reference(spec, key, b_text, central):
 
 @pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"), ("GL", 3, "")])
 def test_kept_sweep_grows_the_ball(spec):
-    # a sweep grown 0 -> 3 -> 7 by the ascent test holds the ball of length
-    # 7, with the lengths measured afresh
+    # a ball grown 0 -> 3 -> 7 by the ascent test holds the ball of length
+    # 7, with the lengths measured afresh, and keeps the positions of the
+    # shorter ball; the sweep over it equals an independent build
     ctx = affine_context(RootDatum(*spec))
-    union = frozenset([ctx.identity])
+    shorter = []
     for cutoff in (3, 7):
-        kept = eng.kept_sweep(ctx, cutoff, union)
+        kept = eng.kept_ball(ctx, cutoff)
+        assert kept is ctx.sweep and kept.depth == cutoff
         assert kept.ball == affine_ball(ctx, cutoff)
-    assert kept.ws == _reference_sweep(ctx, 7, union)
+        assert list(kept.ball)[:len(shorter)] == shorter
+        shorter = list(kept.ball)
+    union = [ctx.identity]
+    assert eng.sweep_elements(ctx, 7, union) == _reference_sweep(ctx, 7, union)
+    assert ctx.sweep is kept
     _check_kept_sweep(ctx)
 
 
 @pytest.mark.parametrize("spec", [("A", 2, "SL"), ("B", 2, "adjoint"), ("C", 2, "adjoint"),
                                   ("A", 3, ""), ("D", 4, "")])
 def test_omega_cosets_share_profile_and_conjugate(spec):
-    # what the Omega-coset path of prepare_batch rests on: for every basic
-    # class (P = G) and every w of the length-3 ball times Omega_G, each
-    # omega * w, omega in Omega_G, has the length, the profile and the
-    # w^{-1} b w of w.  For a non-basic class (P != G) some omega * w has
-    # another profile, which is why those classes keep the full sweep
+    # the identity ball_groups rests on: for every semistandard P (a sample
+    # of 30 for A3 and D4), every tau of Omega_G, every u of the length-3 ball
+    # of W_a and several b, tau * u has the length of u, the profile of u
+    # under P_tau = tau^{-1} P tau and the conjugate u^{-1} b_tau u, b_tau =
+    # tau^{-1} b tau.  For a basic class (P = G, b in Omega_G) every tau has
+    # the pair (G, b): one twist pair, as the Omega-coset sweep had
     ctx = affine_context(build_root_datum(*spec))
     datum = ctx.datum
     omegas = list(ctx.omega_g_elements().values())
-    ws = ball_with_omega(ctx, 3)
+    us = list(affine_ball(ctx, 3))
+    rng = random.Random(5)
+    ps = semistandard_parabolics(datum)
+    ps = rng.sample(ps, 30) if len(ps) > 30 else ps
+    bs = rng.sample(ball_with_omega(ctx, 3), 4) + omegas
     basics = [sg.classify(ctx, tau) for tau in omegas]
     assert len({cls.kappa for cls in basics}) == len(omegas) > 1
+    for p in ps:
+        for tau in omegas:
+            p_tau = _twist(ctx, p, tau, ctx.identity)[0]
+            b_taus = [_twist(ctx, p, tau, b)[1] for b in bs]
+            for u in us:
+                w = ctx.mul(tau, u)
+                assert ctx.length(w) == ctx.length(u)
+                assert eng.orientation_profile(ctx, p, w) == \
+                    eng.orientation_profile(ctx, p_tau, u), ctx.format(w)
+                for b, b_tau in zip(bs, b_taus):
+                    assert ctx.conj_inv(w, b) == ctx.conj_inv(u, b_tau), ctx.format(w)
     for cls in basics:
         b, p, _corr2 = eng.class_data(ctx, cls)
         assert sg.is_basic(datum, cls) and p.is_full
-        for w in ws:
-            profile = eng.orientation_profile(ctx, p, w)
-            btilde = ctx.conj_inv(w, b)
-            for om in omegas:
-                ow = ctx.mul(om, w)
-                assert ctx.length(ow) == ctx.length(w)
-                assert eng.orientation_profile(ctx, p, ow) == profile, ctx.format(ow)
-                assert ctx.conj_inv(ow, b) == btilde, ctx.format(ow)
-    cls = sg.classify(ctx, ctx.from_translation((1,) + (0,) * (datum.d - 1)))
-    _b, p, _corr2 = eng.class_data(ctx, cls)
-    assert not sg.is_basic(datum, cls) and not p.is_full
-    assert any(eng.orientation_profile(ctx, p, ctx.mul(om, w)) !=
-               eng.orientation_profile(ctx, p, w) for w in ws for om in omegas)
+        pairs = {(p_tau.r_n, p_tau.r_nbar, b_tau)
+                 for p_tau, b_tau in (_twist(ctx, p, tau, b) for tau in omegas)}
+        assert pairs == {(frozenset(), frozenset(), b)}
+
+
+def _reference_groups(ctx, b, p, walls, ends, cutoff, omegas, allowed):
+    # the wall groups by brute force over the (length, text) sweep of the
+    # w = u * tau: per w its conjugate, profile and wall key, and per (wall
+    # key, lookup key) the first w; ({wall key: member indices}, records)
+    p_full = full_parabolic(ctx.datum)
+    firsts = {}
+    for w in eng.sweep_elements(ctx, cutoff, omegas):
+        btilde = ctx.conj_inv(w, b)
+        if btilde not in ends:
+            continue
+        key = eng.wall_key(walls, eng.orientation_profile(ctx, p, w))
+        tau = ctx.omega_element(p_full, ctx.omega_class(w))
+        assert tau in omegas
+        look = btilde if allowed is None else (btilde, tau)
+        firsts.setdefault((key, look), (w, btilde, tau))
+    groups = {}
+    for i, (key, _look) in enumerate(firsts):
+        groups.setdefault(key, []).append(i)
+    return groups, list(firsts.values())
 
 
 @pytest.mark.parametrize("spec,key,cutoff", [
@@ -797,35 +820,47 @@ def test_omega_cosets_share_profile_and_conjugate(spec):
     (("A", 3, ""), "nu=[0,0,0,0];kappa=[0,0,0,2]", 5),
     (("D", 4, ""), "nu=[0,0,0,0];kappa=[0,0,1,1]", 4),
     (("G", 2, "adjoint"), "trivial", 6),
+    (("C", 2, "adjoint"), "trivial", 6),
+    (("A", 2, "SL"), "nu=[1,0,-1];kappa=[0,0,0]", 6),
+    (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", 6),
+    (("C", 2, "adjoint"), "nu=[1,0];kappa=[0,0]", 6),
+    (("G", 2, "adjoint"), "nu=[0,1];kappa=[0,0]", 8),
+    (("GL", 2, ""), "nu=[1,0];kappa=[0,1]", 6),
+    (("GL", 3, ""), "nu=[1,0,0];kappa=[0,0,1]", 5),
+    (("GL", 3, ""), "nu=[1,1,1];kappa=[0,0,3]", 5),
 ])
-def test_coset_groups_match_sweep_groups(spec, key, cutoff):
-    # the Omega-coset path gives the wall keys, the members and the member
-    # records of the full sweep, over the walls of a survey and over no
-    # walls at all.  With no walls every u has one wall key, so several u
-    # of least length share a u^{-1} b u, and the member is the text-least
-    # omega * u over all of them, which is often not one of the first u
+def test_ball_groups_match_reference(spec, key, cutoff):
+    # ball_groups gives the wall keys, the members and the member records
+    # of the brute-force sweep: finite basic classes, central (trivial) and
+    # not, finite non-basic ones, and GL_n with per-x windows; over the
+    # walls and ends of a survey and over no walls and every end.  With no
+    # walls every w has one wall key, so many u tie, across twist pairs too,
+    # and the member is the text-least tau * u over all of them
     ctx = affine_context(build_root_datum(*spec))
     cls = parse_class_key(ctx, key)
     b, p, _corr2 = eng.class_data(ctx, cls)
-    omegas = frozenset(eng.omega_window(ctx, cls, [b]))
-    xs = survey_elements(ctx, cls, 3)
-    walls, _ends, _reach = eng.fold_walls(
+    # the non-basic classes meet no end below x of length 3 or 5
+    xs = survey_elements(ctx, cls, 3 if sg.is_basic(ctx.datum, cls) else 6)
+    if ctx.datum.lambda_g.order() is None:
+        allowed = {x: frozenset(eng.omega_window(ctx, cls, [x, b])) for x in xs}
+        omegas = frozenset().union(*allowed.values())
+    else:
+        allowed, omegas = None, frozenset(eng.omega_window(ctx, cls, [b]))
+    walls, ends, _reach = eng.fold_walls(
         ctx, eng.prefix_tree(ctx, {x: ctx.reduced_word(x) for x in xs}))
     every = {ctx.conj_inv(w, b) for w in eng.sweep_elements(ctx, cutoff, omegas)}
-    for levels in (walls, [[] for _ in walls]):
-        coset = eng.coset_groups(ctx, b, p, levels, every, cutoff, omegas)
-        full = eng.sweep_groups(ctx, b, p, levels, every, cutoff, omegas, None)
-        assert {k: members for k, (_, members) in coset[0].items()} == \
-            {k: members for k, (_, members) in full[0].items()}
-        assert coset[1] == full[1]
-    assert len(coset[0]) == 1 and len(coset[1]) == len(every)
-
-
-def _canonical_ids(classes):
-    # class ids renumbered by first position: the ids follow the iteration
-    # order of the Omega set, which may differ between contexts
-    first = {}
-    return [first.setdefault(c, len(first)) for c in classes]
+    sizes = []
+    for levels, lookups in ((walls, ends), ([[] for _ in walls], every)):
+        groups, records = eng.ball_groups(ctx, b, p, levels, lookups, cutoff, omegas, allowed)
+        want_groups, want_records = _reference_groups(ctx, b, p, levels, lookups, cutoff,
+                                                      omegas, allowed)
+        assert records == want_records
+        assert {k: members for k, (_, members) in groups.items()} == want_groups
+        for k, (profile, _members) in groups.items():
+            assert eng.wall_key(levels, profile) == k
+        sizes.append((len(groups), len(records)))
+    assert sizes[1][0] == 1 and sizes[1][1] >= len(every)
+    assert sizes[0][1] > 0
 
 
 @pytest.mark.parametrize("spec,basic,other", [
@@ -833,18 +868,21 @@ def _canonical_ids(classes):
     (("A", 2, "SL"), "nu=[0,0,0];kappa=[0,0,1]", "nu=[1,0,-1];kappa=[0,0,0]"),
 ])
 def test_ball_grows_ahead_of_the_products(spec, basic, other):
-    # a basic class at cutoff 8 grows the ball to 8 and the products only to
-    # the survey's length; a non-basic class then grows the products to 6,
-    # from the deeper ball, and to 9, past it.  The kept products and
-    # filled table entries equal those of a fresh context that ran only the
-    # non-basic surveys, and every result equals a fresh run's
+    # a basic class at cutoff 8 grows the ball to 8, while its survey's
+    # products are made only to length 4; a non-basic class then sweeps the
+    # deeper ball at cutoff 6, and grows it to 9.  The kept ball and the
+    # filled entries of the non-basic class's tables equal those of a fresh
+    # context that ran only the non-basic surveys, and every result equals
+    # a fresh run's
     plan = [(basic, 8), (other, 6), (other, 9)]
 
     def run(ctx, steps):
         out = []
         for key, cutoff in steps:
             cls = parse_class_key(ctx, key)
-            got = eng.survey_batch(ctx, cls, survey_elements(ctx, cls, 4), cutoff)
+            xs = survey_elements(ctx, cls, 4)
+            assert max(ctx.length(x) for x in xs) == 4
+            got = eng.survey_batch(ctx, cls, xs, cutoff)
             assert any(r.nonempty for r in got.values())
             # by text, as element ids differ between contexts
             out.append({ctx.format(x): (r.status, r.dim, r.witness_w is not None
@@ -853,21 +891,26 @@ def test_ball_grows_ahead_of_the_products(spec, basic, other):
             _check_kept_sweep(ctx)
         return out
 
-    def products(ctx):
-        kept = ctx.sweep
-        b = eng.class_data(ctx, parse_class_key(ctx, other))[0]
-        table = kept.conj_tables[b]
-        return ([ctx.format(w) for w in kept.ws], kept.lengths,
-                [ctx.format(tau) for tau in kept.taus], _canonical_ids(kept.classes),
-                kept.nclasses, [table[c] >= 0 and ctx.format(table[c]) for c in kept.classes])
+    def kept(ctx):
+        # the ball and the other class's filled entries, by text
+        sweep = ctx.sweep
+        cls = parse_class_key(ctx, other)
+        b, p, _corr2 = eng.class_data(ctx, cls)
+        p_full = full_parabolic(ctx.datum)
+        b_taus = {ctx.conj_inv(ctx.omega_element(p_full, nf), b)
+                  for nf in ctx.datum.lambda_g.elements()}
+        return ([ctx.format(u) for u in sweep.ball],
+                {ctx.format(b_tau): [got >= 0 and ctx.format(got)
+                                     for got in sweep.conj_tables[b_tau]]
+                 for b_tau in b_taus if not ctx.is_central(b_tau)})
 
     warm = affine_context(RootDatum(*spec))
     got = run(warm, plan)
-    assert warm.sweep.cutoff == warm.sweep.depth == 9
+    assert warm.sweep.depth == 9
     assert got == [run(affine_context(RootDatum(*spec)), [step])[0] for step in plan]
     fresh = affine_context(RootDatum(*spec))
     run(fresh, plan[1:])
-    assert products(warm) == products(fresh)
+    assert kept(warm) == kept(fresh)
 
 
 @pytest.mark.parametrize("spec,class_key,max_len,cutoff", [
@@ -1080,14 +1123,13 @@ def test_pruned_w_have_empty_strata(spec, class_key, max_len, cutoff, twisted):
 ])
 def test_profiles_only_for_the_w_that_reach_an_end(monkeypatch, spec, class_key,
                                                    central):
-    # prepare_batch computes one profile per class of w whose w^{-1} b w is
-    # an end of the batch: fewer than all classes up to the cutoff for a
-    # non-central b, all of them for the trivial class.  The basic classes
-    # of A2 SL and C2 take the Omega-coset path, whose profiles are those of
-    # the u of the ball up to the cutoff whose u^{-1} b u is an end
+    # prepare_batch computes one profile per twist pair (P_tau, b_tau) of
+    # its Omega set and u of the ball up to the cutoff whose u^{-1} b_tau u
+    # is an end of the batch: fewer than all such pairs and u for a
+    # non-central b, all of them for the trivial class
     ctx = affine_context(build_root_datum(*spec))
     cls = parse_class_key(ctx, class_key)
-    b = eng.class_data(ctx, cls)[0]
+    b, p, _corr2 = eng.class_data(ctx, cls)
     assert ctx.is_central(b) == central
     xs = survey_elements(ctx, cls, 4)
     calls = []
@@ -1098,18 +1140,22 @@ def test_profiles_only_for_the_w_that_reach_an_end(monkeypatch, spec, class_key,
     monkeypatch.undo()
     assert batch.words
     _walls, ends, _reach = eng.fold_walls(ctx, batch.tree)
-    kept = ctx.sweep
     if batch.allowed is None:
-        every = [u for u, n in kept.ball.items() if n <= 6]
-        reached = [u for u in every if ctx.conj_inv(u, b) in ends]
-        assert [args[2] for args in calls] == reached
+        omegas = eng.omega_window(ctx, cls, [b])
     else:
         omegas = frozenset().union(*batch.allowed.values())
-        every = {kept.classes[pos] for pos in range(bisect.bisect_right(kept.lengths, 6))
-                 if kept.taus[pos] in omegas}
-        reached = {c for c in every if kept.conj_tables[b][c] in ends}
-    assert len(calls) == len(reached)
-    assert (len(reached) == len(every)) == central
+    pairs = {}
+    for tau in omegas:
+        p_tau, b_tau = _twist(ctx, p, tau, b)
+        pairs[p_tau.r_n, p_tau.r_nbar, b_tau] = p_tau
+    every = [u for u, n in ctx.sweep.ball.items() if n <= 6]
+    reached = collections.Counter(
+        (r_n, r_nbar, u) for (r_n, r_nbar, b_tau) in pairs for u in every
+        if ctx.conj_inv(u, b_tau) in ends)
+    assert collections.Counter((args[1].r_n, args[1].r_nbar, args[2])
+                               for args in calls) == reached
+    assert (sum(reached.values()) == len(pairs) * len(every)) == central
+    assert batch.allowed is None or len(pairs) > 1
 
 
 def _for_every_case(hyp, cases, check):

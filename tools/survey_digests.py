@@ -50,6 +50,9 @@ SURVEYS = [
     "--type A --rank 2 --variant SL --class-key nu=[1,0,-1];kappa=[0,0,0] --max-len 8",
     "--type B --rank 2 --class-key nu=[1,0];kappa=[0,0] --max-len 8",
     "--type C --rank 2 --class-key nu=[1,0];kappa=[0,0] --max-len 8",
+    "--type GL --rank 2 --class-key nu=[1,0];kappa=[0,1] --max-len 8 --jobs 2",
+    "--type GL --rank 3 --class-key nu=[1,1,1];kappa=[0,0,3] --max-len 5",
+    "--type GL --rank 3 --class-key nu=[1/2,1/2,0];kappa=[0,0,1] --max-len 5 --jobs 2",
 ]
 
 # the root data of the query pool, as bench/run.py names them
