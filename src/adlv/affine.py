@@ -9,20 +9,14 @@ walks) run on small-integer arithmetic only.
 
 Conventions.  The base alcove "a" is the alcove in the dominant chamber whose
 closure contains the origin; the Iwahori subgroup is its fixer, i.e. the
-preimage of the *opposite* Borel.  The alcove coordinate of a root alpha at
-the alcove x.a is
+preimage of the *opposite* Borel.  The alcove coordinates k(alpha, x.a) and
+their offsets from those of a are documented at AffineWeyl.offsets.
 
-    k(alpha, x.a) = <alpha, lambda> + [w^{-1} alpha > 0],
-
-the unique integer k with k-1 < <alpha, p> < k for interior points p of x.a.
-In particular k(alpha, a) = 1 for alpha > 0 and = 0 for alpha < 0, and
-k(alpha, .) + k(-alpha, .) = 1.
-
-Length is the number of affine root hyperplanes separating a from x.a:
-ell(x) = sum over positive roots of |k(alpha, x.a) - k(alpha, a)|.  Reduced
-words use the affine generators s_1..s_r (finite simple reflections) and s_0
-(the reflection in the wall {theta = 1} for the highest root theta), followed
-by a length-zero element.
+Length is the number of affine root hyperplanes separating a from x.a: the
+sum of |offset| over the positive roots.  Reduced words use the affine
+generators s_1..s_r (finite simple reflections) and s_0 (the reflection in
+the wall {theta = 1} for the highest root theta), followed by a length-zero
+element.
 """
 
 from __future__ import annotations
@@ -182,6 +176,7 @@ class AffineWeyl:
     # -- alcove coordinates ----------------------------------------------------
 
     def k_alpha(self, root_idx: int, xid: int) -> int:
+        """k(alpha, x.a), the reference formula of offsets."""
         lam, w = self._elts[xid]
         datum = self.datum
         W = datum.weyl
@@ -192,23 +187,41 @@ class AffineWeyl:
             pos = not pos
         return datum.pairing(root_idx, lam) + (1 if pos else 0)
 
+    def offsets(self, xid: int) -> tuple[int, ...]:
+        """
+        k(alpha, x.a) - k(alpha, a) for every root alpha, indexed by root.
+
+        The alcove coordinate of alpha at x.a, for x = (lambda, w), is
+
+            k(alpha, x.a) = <alpha, lambda> + [w^{-1} alpha > 0],
+
+        the unique integer k with k-1 < <alpha, p> < k for interior points p
+        of x.a, and k(alpha, .) + k(-alpha, .) = 1.  At the base alcove
+        k(alpha, a) = 1 for alpha > 0 and 0 for alpha < 0, so the entry of a
+        positive alpha is <alpha, lambda> - [w^{-1} alpha < 0], and the entry
+        of -alpha is minus that of alpha.  The entry of alpha is zero exactly
+        when no wall {alpha = j} separates a from x.a.
+        """
+        lam, w = self._elts[xid]
+        datum = self.datum
+        npos = datum.nposroots
+        back = datum.weyl.root_act[datum.weyl.inv[w]]
+        pos = [sum(map(operator.mul, r, lam)) - (b >= npos)
+               for r, b in zip(datum.roots[:npos], back)]
+        return tuple(pos + [-o for o in pos])
+
     def length(self, xid: int) -> int:
         got = self._len.get(xid)
         if got is None:
-            datum = self.datum
-            npos = datum.nposroots
-            got = sum(abs(self.k_alpha(i, xid) - 1) for i in range(npos))
+            got = sum(map(abs, self.offsets(xid)[:self.datum.nposroots]))
             self._len[xid] = got
         return got
 
     def length_levi(self, xid: int, p: SemistdParabolic) -> int:
         """Length of x inside the affine Weyl group of the Levi of p."""
         npos = self.datum.nposroots
-        tot = 0
-        for i in p.r_m:
-            if i < npos:
-                tot += abs(self.k_alpha(i, xid) - 1)
-        return tot
+        off = self.offsets(xid)
+        return sum(abs(off[i]) for i in p.r_m if i < npos)
 
     # -- reduced words -----------------------------------------------------------
 
@@ -433,12 +446,9 @@ class AffineWeyl:
                 out = self.mul(out, self.omega_element(p, cls))
             elif tok.startswith("tau"):
                 k = int(tok.split("^")[1]) if "^" in tok else 1
-                gen_cls = self._cyclic_omega_generator()
                 lam_g = datum.lambda_g
-                cls = lam_g.zero()
-                step = gen_cls if k >= 0 else lam_g.neg(gen_cls)
-                for _ in range(abs(k)):
-                    cls = lam_g.add(cls, step)
+                gen = lam_g.lift(self._cyclic_omega_generator())
+                cls = lam_g.normal_form(tuple(k * v for v in gen))
                 p = standard_parabolic(datum, frozenset(datum.simple_idx))
                 out = self.mul(out, self.omega_element(p, cls))
             elif tok.startswith("s"):

@@ -3,10 +3,12 @@ Geometric predicates on extended alcoves.
 
 For a semistandard parabolic P = MN, the alcove x.a is a P-alcove when the
 finite part of x lies in W_M and k(alpha, x.a) >= k(alpha, a) for every root
-alpha of N; the strict variant asks for strict inequalities.  The region cut
-out by the k-inequalities alone is a union of acute cones C(a, w) over the
-w in W with P containing the w-conjugate Borel, which gives a second route to
-the same predicate (and an exhaustive cross-check in the tests).
+alpha of N; the strict variant asks for strict inequalities.  Every predicate
+here reads these comparisons off AffineWeyl.offsets, which documents the
+alcove coordinates k and the base alcove a.  The region cut out by the
+k-inequalities alone is a union of acute cones C(a, w) over the w in W with
+P containing the w-conjugate Borel, which gives a second route to the same
+predicate (and an exhaustive cross-check in the tests).
 
 Also here: the shrunken condition, the two chamber maps eta_1 (finite part)
 and eta_2 (the finite Weyl chamber containing x.a), smallest Levis, and
@@ -46,19 +48,19 @@ def is_p_alcove(ctx: AffineWeyl, xid: int, p: SemistdParabolic,
         rep.verdict = False
         rep.witnesses.append(("finite part not in W_M", None, None))
         return rep
+    off = ctx.offsets(xid)
     for r in sorted(p.r_n):
-        kx = ctx.k_alpha(r, xid)
-        kb = ctx.k_alpha(r, ctx.identity)
-        ok = kx > kb if strict else kx >= kb
-        if not ok:
+        if not (off[r] > 0 if strict else off[r] >= 0):
             rep.verdict = False
-            rep.witnesses.append((r, kx, kb))
+            kx = ctx.k_alpha(r, xid)
+            rep.witnesses.append((r, kx, kx - off[r]))
     return rep
 
 
 def in_region_p(ctx: AffineWeyl, xid: int, p: SemistdParabolic) -> bool:
     """Only the k-inequalities of the P-alcove condition (drops x in W~_M)."""
-    return all(ctx.k_alpha(r, xid) >= ctx.k_alpha(r, ctx.identity) for r in p.r_n)
+    off = ctx.offsets(xid)
+    return all(off[r] >= 0 for r in p.r_n)
 
 
 def acute_cone_contains(ctx: AffineWeyl, xid: int, w: int) -> bool:
@@ -66,14 +68,8 @@ def acute_cone_contains(ctx: AffineWeyl, xid: int, w: int) -> bool:
     Membership of x.a in the acute cone C(a, w): for every root alpha in
     w(R^+), the alcove satisfies k(alpha, x.a) >= k(alpha, a).
     """
-    datum = ctx.datum
-    npos = datum.nposroots
-    act = datum.weyl.root_act[w]
-    for i in range(npos):
-        r = act[i]
-        if ctx.k_alpha(r, xid) < ctx.k_alpha(r, ctx.identity):
-            return False
-    return True
+    off = ctx.offsets(xid)
+    return all(off[r] >= 0 for r in ctx.datum.weyl.root_act[w][:ctx.datum.nposroots])
 
 
 def cone_directions(datum, p: SemistdParabolic):
@@ -89,8 +85,7 @@ def cone_directions(datum, p: SemistdParabolic):
 
 def is_shrunken(ctx: AffineWeyl, xid: int) -> bool:
     """k(alpha, x.a) != k(alpha, a) for every root alpha."""
-    npos = ctx.datum.nposroots
-    return all(ctx.k_alpha(i, xid) != ctx.k_alpha(i, ctx.identity) for i in range(npos))
+    return all(ctx.offsets(xid))
 
 
 def eta1(ctx: AffineWeyl, xid: int) -> int:
@@ -160,9 +155,8 @@ def is_fundamental_p_alcove(ctx: AffineWeyl, xid: int, p: SemistdParabolic) -> b
     """P-alcove with x of length zero in the Levi's affine Weyl group."""
     if ctx.finite(xid) not in p.w_m:
         return False
-    if ctx.length_levi(xid, p) != 0:
-        return False
-    return is_p_alcove(ctx, xid, p).verdict
+    off = ctx.offsets(xid)
+    return not any(off[r] for r in p.r_m) and all(off[r] >= 0 for r in p.r_n)
 
 
 def nu_x(ctx: AffineWeyl, xid: int, p: SemistdParabolic):

@@ -44,13 +44,14 @@ class CacheStore:
                     continue
                 try:
                     obj = json.loads(line)
-                    key = obj["key"]
-                    val = obj["value"]
-                except (ValueError, KeyError):
+                except ValueError:
+                    obj = None
+                if not (isinstance(obj, dict) and isinstance(obj.get("key"), str)
+                        and isinstance(obj.get("value"), dict)):
                     print(f"cache: skipping corrupt entry at line {lineno}",
                           file=sys.stderr)
                     continue
-                self._data[key] = val
+                self._data[obj["key"]] = obj["value"]
 
     def get(self, key: str):
         return self._data.get(key)

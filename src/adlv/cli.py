@@ -236,7 +236,8 @@ def cmd_query(args, out=sys.stdout):
     rec = record_for(ctx, cls, xid, _in_result_order(computed))
     rec["schema_version"] = SCHEMA_VERSION
     rec["bruhat_geq_some_conjugate"] = _bruhat_flag(ctx, cls, xid)
-    rec["p_alcove_for_proper_parabolic"] = _is_any_proper_p_alcove(ctx, xid)
+    rec["p_alcove_for_proper_parabolic"] = next(eng.p_alcove_parabolics(ctx, xid),
+                                                None) is not None
     if args.explain:
         rec["p_alcove_reports"] = _p_alcove_reports(ctx, xid)
     json.dump(rec, out, indent=1)
@@ -285,10 +286,6 @@ def _bruhat_flag(ctx, cls, xid):
         if ctx.bruhat_leq(ctx.conj(g, b), xid):
             return True
     return False
-
-
-def _is_any_proper_p_alcove(ctx, xid):
-    return next(eng.p_alcove_parabolics(ctx, xid), None) is not None
 
 
 def survey_elements(ctx, cls, max_len):

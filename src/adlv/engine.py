@@ -128,7 +128,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .affine import AffineWeyl
-from .alcoves import is_p_alcove, newton_vector, pair_two_rho
+from .alcoves import newton_vector, pair_two_rho
 from .hecke import Hecke, poly_deg
 from .roots import SemistdParabolic, closure, semistandard_parabolics, standard_parabolic
 from .sigma import (SigmaConjClass, fundamental_representative, is_basic,
@@ -283,9 +283,14 @@ def levi_eta_targets(ctx: AffineWeyl, p: SemistdParabolic, cls: SigmaConjClass):
 
 
 def p_alcove_parabolics(ctx: AffineWeyl, xid: int):
-    """The proper semistandard P with x.a a P-alcove, in their fixed order."""
+    """
+    The proper semistandard P with x.a a P-alcove, in their fixed order: the
+    finite part of x lies in W_M and R_N lies in the roots of offset >= 0.
+    """
+    w = ctx.finite(xid)
+    up = {r for r, o in enumerate(ctx.offsets(xid)) if o >= 0}
     for p in semistandard_parabolics(ctx.datum):
-        if not p.is_full and is_p_alcove(ctx, xid, p).verdict:
+        if w in p.w_m and p.r_n <= up and not p.is_full:
             yield p
 
 

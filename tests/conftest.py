@@ -65,6 +65,23 @@ def ball_with_omega(ctx, max_len):
     return sorted(xs, key=lambda z: (ctx.length(z), ctx.format(z)))
 
 
+# the data of the P-alcove pass checks, in build_root_datum's argument form
+P_ALCOVE_DATA = [("A", 2, "SL"), ("B", 2, "adjoint"), ("C", 2, "adjoint"),
+                 ("G", 2, "adjoint"), ("A", 3, ""), ("GL", 3, "")]
+
+
+def twisted_ball(ctx, max_len):
+    """
+    ball_with_omega, and for infinite Omega_G (GL_n) the ball twisted by the
+    four tau^k with k in (-2, 0, 1, 3).
+    """
+    xs = ball_with_omega(ctx, max_len)
+    if ctx.datum.lambda_g.order() is None:
+        taus = [ctx.parse(f"tau^{k}") for k in (-2, 0, 1, 3)]
+        xs = [ctx.mul(x, tau) for x in xs for tau in taus]
+    return xs
+
+
 def wall_from_k_alpha(ctx, c, cs):
     """
     The wall crossed by the step c -> cs between adjacent alcoves, from alcove

@@ -7,7 +7,7 @@ from adlv.roots import (build_root_datum, semistandard_levis, semistandard_parab
                         standard_parabolic)
 from adlv.snf import solve_frac
 from adlv.affine import AffineWeyl, affine_context
-from conftest import ball_with_omega, wall_from_k_alpha
+from conftest import P_ALCOVE_DATA, ball_with_omega, twisted_ball, wall_from_k_alpha
 
 
 def rand_elements(ctx, rng, count, maxword):
@@ -133,6 +133,16 @@ def test_k_alpha_values(a2_ctx, c2_ctx):
         for x in rand_elements(ctx, rng, 25, 9):
             for i in range(npos):
                 assert ctx.k_alpha(i, x) + ctx.k_alpha(i + npos, x) == 1
+
+
+@pytest.mark.parametrize("spec", P_ALCOVE_DATA)
+def test_offsets_match_k_alpha(spec):
+    # the offset vector against the reference formula, root by root
+    ctx = affine_context(build_root_datum(*spec))
+    roots = range(len(ctx.datum.roots))
+    base = [ctx.k_alpha(r, ctx.identity) for r in roots]
+    for x in twisted_ball(ctx, 4):
+        assert ctx.offsets(x) == tuple(ctx.k_alpha(r, x) - kb for r, kb in zip(roots, base))
 
 
 def test_k_alpha_a1_coroot():
@@ -318,6 +328,32 @@ def test_text_roundtrip(a2_ctx, c2_ctx, gl3_ctx):
     assert ctx.parse("s0 s1 s2") == ctx.from_word((0, 1, 2))
     assert ctx.parse("tau") != ctx.identity
     assert ctx.parse("tau^3") == ctx.identity
+
+
+@pytest.mark.parametrize("spec", [("A", 2, "SL"), ("C", 2, "adjoint"), ("GL", 3, "")])
+def test_tau_power_is_one_normal_form(spec, monkeypatch):
+    # tau^k is k times the generator in one normal form: no Lambda_G.add, at
+    # any k, and the same element as the product of |k| factors tau^{+-1}
+    ctx = affine_context(build_root_datum(*spec))
+    lam_g = type(ctx.datum.lambda_g)
+    want = {}
+    for k in range(-4, 5):
+        step = ctx.parse("tau" if k >= 0 else "tau^-1")
+        want[k] = ctx.identity
+        for _ in range(abs(k)):
+            want[k] = ctx.mul(want[k], step)
+
+    def no_add(self, a, b):
+        raise AssertionError("tau^k must not add k times")
+    monkeypatch.setattr(lam_g, "add", no_add)
+    for k, x in want.items():
+        assert ctx.parse(f"tau^{k}") == x, k
+    n = ctx.datum.lambda_g.order()
+    if n is not None:
+        # on A2 SL (n = 3): tau^1000000001 = tau^2 and tau^-1000000001 = tau^-2
+        k = (10 ** 9 + 1) % n
+        assert ctx.parse(f"tau^{10 ** 9 + 1}") == want[k]
+        assert ctx.parse(f"tau^-{10 ** 9 + 1}") == want[-k]
 
 
 @pytest.mark.parametrize("spec", [("C", 2, "adjoint"), ("G", 2, "adjoint"),

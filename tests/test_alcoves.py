@@ -9,7 +9,7 @@ from adlv import roots
 from adlv.affine import affine_context
 from adlv.roots import (SemistdParabolic, build_root_datum, semistandard_parabolics,
                         standard_parabolic)
-from conftest import ball_with_omega, pair_two_rho_n
+from conftest import P_ALCOVE_DATA, ball_with_omega, pair_two_rho_n, twisted_ball
 
 
 def s1_p2_parabolic(a2):
@@ -64,6 +64,32 @@ def test_strict_p_alcove(a2_ctx):
     assert not al.is_p_alcove(a2_ctx, x_eq, P, strict=True).verdict
     x_str = a2_ctx.intern((0, 2, -2), s121)
     assert al.is_p_alcove(a2_ctx, x_str, P, strict=True).verdict
+
+
+@pytest.mark.parametrize("spec", P_ALCOVE_DATA)
+def test_p_alcove_witness_rows(spec):
+    # is_p_alcove against its definition from k_alpha: a finite part
+    # outside W_M is one row; otherwise one row (r, k(r, x.a), k(r, a)) per
+    # root r of N, in index order, that breaks the (strict) inequality
+    ctx = affine_context(build_root_datum(*spec))
+    seen = set()
+    for x in twisted_ball(ctx, 4):
+        for p in semistandard_parabolics(ctx.datum):
+            for strict in (False, True):
+                if ctx.finite(x) not in p.w_m:
+                    rows = [("finite part not in W_M", None, None)]
+                else:
+                    rows = [(r, ctx.k_alpha(r, x), ctx.k_alpha(r, ctx.identity))
+                            for r in sorted(p.r_n)]
+                    rows = [(r, kx, kb) for r, kx, kb in rows
+                            if not (kx > kb if strict else kx >= kb)]
+                rep = al.is_p_alcove(ctx, x, p, strict)
+                assert (rep.verdict, rep.witnesses) == (not rows, rows), \
+                    (spec, ctx.format(x), p, strict)
+                seen.add((strict, not rows, bool(rows) and rows[0][1] is None))
+    # accepted, rejected outside W_M and rejected with violation rows, both ways
+    assert seen == {(strict, ok, wm) for strict in (False, True)
+                    for ok, wm in ((True, False), (False, True), (False, False))}
 
 
 def test_acute_cones_basic(a2_ctx):

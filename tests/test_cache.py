@@ -38,10 +38,18 @@ def test_version_in_key():
 def test_corrupt_lines_skipped(tmp_path, capsys):
     path = tmp_path / "results.jsonl"
     good = {"key": "k1", "value": {"a": 1}}
-    path.write_text(json.dumps(good) + "\nnot json at all\n{\"key\": \"k2\"}\n")
+    # valid JSON that is no entry object: a scalar, a string, a list, a value
+    # that is not a dict, a key that is not a string
+    bad = ["null", "5", '"text"', "[1, 2]", '{"key": "k3", "value": 7}',
+           '{"key": "k4", "value": [1]}', '{"key": [1], "value": {}}']
+    path.write_text(json.dumps(good) + "\nnot json at all\n{\"key\": \"k2\"}\n"
+                    + "\n".join(bad) + "\n")
     store = CacheStore(str(tmp_path))
     assert store.get("k1") == {"a": 1}
     assert store.get("k2") is None
+    assert store.get("k3") is None and store.get("k4") is None
+    assert len(store) == 1
+    assert capsys.readouterr().err.count("skipping corrupt entry") == 2 + len(bad)
 
 
 def test_compaction_atomic(tmp_path):

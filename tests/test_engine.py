@@ -14,7 +14,8 @@ from adlv.hecke import Hecke
 from adlv.roots import (RootDatum, SemistdParabolic, build_root_datum,
                         semistandard_levis, semistandard_parabolics,
                         standard_parabolic)
-from conftest import affine_ball, ball_with_omega, structure_deg, wall_from_k_alpha
+from conftest import (P_ALCOVE_DATA, affine_ball, ball_with_omega, structure_deg,
+                      twisted_ball, wall_from_k_alpha)
 
 
 def full_parabolic(datum):
@@ -1245,13 +1246,19 @@ def test_walks_of_a_split_batch_match_one_survey_batch():
     assert "nonempty" in walked
 
 
-def test_p_alcove_parabolics_is_the_filtered_list(c2_ctx, gl3_ctx):
-    for ctx in (c2_ctx, gl3_ctx):
+def test_p_alcove_parabolics_is_the_filtered_list():
+    # the pass over one offset vector per x against the per-P reference
+    # report, for every semistandard P and every x of the twisted ball
+    for spec in P_ALCOVE_DATA:
+        ctx = affine_context(build_root_datum(*spec))
         paras = semistandard_parabolics(ctx.datum)
-        for x in ball_with_omega(ctx, 4):
+        kept = 0
+        for x in twisted_ball(ctx, 4):
             want = [p for p in paras
                     if not p.is_full and is_p_alcove(ctx, x, p).verdict]
-            assert list(eng.p_alcove_parabolics(ctx, x)) == want
+            assert list(eng.p_alcove_parabolics(ctx, x)) == want, (spec, ctx.format(x))
+            kept += len(want)
+        assert kept, spec
 
 
 def test_memo_tables_live_on_their_objects():

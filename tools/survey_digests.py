@@ -5,9 +5,10 @@ byte in one command.
     python3 tools/survey_digests.py [--root CHECKOUT]
     python3 tools/survey_digests.py [--root CHECKOUT] --pool
 
-The first form runs each survey of SURVEYS in a fresh interpreter against
-CHECKOUT/src (default: this checkout) and prints one line per survey, the
-first 16 hex digits of the SHA-256 of its standard output and its argv:
+The first form runs each command of COMMANDS (CLI surveys, and queries with
+--explain) in a fresh interpreter against CHECKOUT/src (default: this
+checkout) and prints one line per command, the first 16 hex digits of the
+SHA-256 of its standard output and its argv:
 
     diff <(python3 tools/survey_digests.py --root A) \\
          <(python3 tools/survey_digests.py --root B)
@@ -30,29 +31,39 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the surveys whose output a change that claims byte-identical output keeps
-SURVEYS = [
-    "--type C --rank 2 --class-key trivial --max-len 10",
-    "--type A --rank 3 --class-key trivial --max-len 2 --jobs 2",
-    "--type A --rank 4 --class-key trivial --max-len 5",
-    "--type D --rank 4 --class-key trivial --max-len 4",
-    "--type D --rank 4 --class-key nu=[0,0,0,0];kappa=[0,0,1,1] --max-len 4",
-    "--type B --rank 2 --class-key nu=[0,0];kappa=[0,1] --max-len 8 --jobs 2",
-    "--type A --rank 2 --variant SL --class-key nu=[0,0,0];kappa=[0,0,2] --max-len 7 "
+# the commands whose output a change that claims byte-identical output keeps
+COMMANDS = [
+    "survey --type C --rank 2 --class-key trivial --max-len 10",
+    "survey --type A --rank 3 --class-key trivial --max-len 2 --jobs 2",
+    "survey --type A --rank 4 --class-key trivial --max-len 5",
+    "survey --type D --rank 4 --class-key trivial --max-len 4",
+    "survey --type D --rank 4 --class-key nu=[0,0,0,0];kappa=[0,0,1,1] --max-len 4",
+    "survey --type B --rank 2 --class-key nu=[0,0];kappa=[0,1] --max-len 8 --jobs 2",
+    "survey --type A --rank 2 --variant SL --class-key nu=[0,0,0];kappa=[0,0,2] --max-len 7 "
     "--jobs 2",
-    "--type C --rank 3 --class-key nu=[0,0,0];kappa=[0,0,1] --max-len 4",
-    "--type G --rank 2 --class-key trivial --max-len 10",
-    "--type A --rank 3 --class-key nu=[1,0,0,-1];kappa=[0,0,0,0] --max-len 5",
-    "--type GL --rank 3 --class-key nu=[1,0,0];kappa=[0,0,1] --max-len 5",
-    "--type GL --rank 4 --class-key nu=[1,0,0,0];kappa=[0,0,0,1] --max-len 4",
-    "--type C --rank 2 --class-key nu=[0,2];kappa=[0,0] --max-len 10",
-    "--type G --rank 2 --class-key nu=[0,1];kappa=[0,0] --max-len 10",
-    "--type A --rank 2 --variant SL --class-key nu=[1,0,-1];kappa=[0,0,0] --max-len 8",
-    "--type B --rank 2 --class-key nu=[1,0];kappa=[0,0] --max-len 8",
-    "--type C --rank 2 --class-key nu=[1,0];kappa=[0,0] --max-len 8",
-    "--type GL --rank 2 --class-key nu=[1,0];kappa=[0,1] --max-len 8 --jobs 2",
-    "--type GL --rank 3 --class-key nu=[1,1,1];kappa=[0,0,3] --max-len 5",
-    "--type GL --rank 3 --class-key nu=[1/2,1/2,0];kappa=[0,0,1] --max-len 5 --jobs 2",
+    "survey --type C --rank 3 --class-key nu=[0,0,0];kappa=[0,0,1] --max-len 4",
+    "survey --type G --rank 2 --class-key trivial --max-len 10",
+    "survey --type A --rank 3 --class-key nu=[1,0,0,-1];kappa=[0,0,0,0] --max-len 5",
+    "survey --type GL --rank 3 --class-key nu=[1,0,0];kappa=[0,0,1] --max-len 5",
+    "survey --type GL --rank 4 --class-key nu=[1,0,0,0];kappa=[0,0,0,1] --max-len 4",
+    "survey --type C --rank 2 --class-key nu=[0,2];kappa=[0,0] --max-len 10",
+    "survey --type G --rank 2 --class-key nu=[0,1];kappa=[0,0] --max-len 10",
+    "survey --type A --rank 2 --variant SL --class-key nu=[1,0,-1];kappa=[0,0,0] --max-len 8",
+    "survey --type B --rank 2 --class-key nu=[1,0];kappa=[0,0] --max-len 8",
+    "survey --type C --rank 2 --class-key nu=[1,0];kappa=[0,0] --max-len 8",
+    "survey --type GL --rank 2 --class-key nu=[1,0];kappa=[0,1] --max-len 8 --jobs 2",
+    "survey --type GL --rank 3 --class-key nu=[1,1,1];kappa=[0,0,3] --max-len 5",
+    "survey --type GL --rank 3 --class-key nu=[1/2,1/2,0];kappa=[0,0,1] --max-len 5 --jobs 2",
+    # the P-alcove reports, their witness rows and finite parts outside W_M
+    "query --type A --rank 2 --variant SL --class-key trivial --x t[2,0,-2]*s1 --explain",
+    "query --type C --rank 2 --class-key trivial --x t[2,-1]*s1 --explain",
+    "query --type C --rank 2 --class-key nu=[1,0];kappa=[0,0] --x t[0,2]*s2 --explain",
+    "query --type G --rank 2 --class-key trivial --x s0*s1*s2*s1*s0*s2 --explain",
+    "query --type G --rank 2 --class-key nu=[0,1];kappa=[0,0] --x t[1,1]*s2 --explain",
+    "query --type GL --rank 3 --class-key nu=[1,0,0];kappa=[0,0,1] --x t[2,-1,0]*s1 --explain",
+    "query --type A --rank 3 --class-key trivial --x t[1,-1,0,0]*s2*tau --explain",
+    "query --type A --rank 3 --class-key nu=[1,0,0,-1];kappa=[0,0,0,0] --x t[1,0,0,-1]*s1*s3 "
+    "--explain",
 ]
 
 # the root data of the query pool, as bench/run.py names them
@@ -74,7 +85,7 @@ for argv in json.load(sys.stdin):
         print("error: %s: %s" % (type(exc).__name__, exc))
 """
 
-SURVEY_RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from adlv.cli import main; " \
+RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from adlv.cli import main; " \
                 "sys.exit(main(sys.argv[2:]))"
 
 
@@ -89,13 +100,13 @@ def fresh(src: str, code: str, args, stdin=None) -> subprocess.CompletedProcess:
                           input=stdin, capture_output=True, env=env, check=False)
 
 
-def survey_digests(src: str) -> int:
-    for line in SURVEYS:
-        argv = ["survey"] + line.split()
-        done = fresh(src, SURVEY_RUNNER, argv)
+def command_digests(src: str) -> int:
+    for line in COMMANDS:
+        argv = line.split()
+        done = fresh(src, RUNNER, argv)
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode(errors="replace"))
-            print(f"survey exited {done.returncode}: {' '.join(argv)}", file=sys.stderr)
+            print(f"{argv[0]} exited {done.returncode}: {line}", file=sys.stderr)
             return 1
         print(f"{digest(done.stdout)}  {' '.join(argv)}", flush=True)
     return 0
@@ -129,13 +140,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=ROOT, help="the checkout to run (default: this one)")
     ap.add_argument("--pool", action="store_true",
-                    help="check the query pool's digests instead of the surveys")
+                    help="check the query pool's digests instead of the commands")
     args = ap.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
     if args.pool:
         return pool_check(src, os.path.join(args.root, "bench", "reference",
                                             "query-pool.tsv"))
-    return survey_digests(src)
+    return command_digests(src)
 
 
 if __name__ == "__main__":
